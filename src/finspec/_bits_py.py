@@ -9,6 +9,10 @@ Lattice helpers take `down` rows (bit j of row i set when j <= i) and an
 optional `pos` list of topological ranks.  When `pos` is None the element
 numbering itself must be a linear extension, which lets the unique-extremum
 search use bit_length() directly.
+
+Meet and join come from the order alone.  operation_tables builds both
+tables from the order; the distributivity and Heyting checks build them
+per call and drop them on return, so no table outlives its check.
 '''
 
 from .errors import ResourceLimitError
@@ -338,18 +342,87 @@ def prime_element_mask(down, pos):
     return out
 
 
+def operation_tables(down, up, pos):
+    '''Meet and join tables read off the order, as (meet, join, None).
+
+    When some pair lacks a bound, returns (None, None, (a, b, kind))
+    instead, for the first pair a < b in row order, kind 'meet' or
+    'join'; a missing meet is reported before a missing join.
+    '''
+    n = len(down)
+    meet = [[a] * n for a in range(n)]
+    join = [[a] * n for a in range(n)]
+    for a in range(n):
+        da, ua = down[a], up[a]
+        meet_a, join_a = meet[a], join[a]
+        for b in range(a + 1, n):
+            lower, upper = da & down[b], ua & up[b]
+            if pos is None:
+                # a linear-extension numbering leaves one candidate each:
+                # the highest common lower and the lowest common upper bound
+                m = lower.bit_length() - 1
+                j = (upper & -upper).bit_length() - 1
+            else:
+                m = _set_max(lower, down, pos)
+                j = _set_min(upper, up, pos)
+            # a candidate is the bound exactly when the common bounds are
+            # its own down-set (up-set)
+            if m < 0 or down[m] != lower:
+                return None, None, (a, b, 'meet')
+            if j < 0 or up[j] != upper:
+                return None, None, (a, b, 'join')
+            meet_a[b] = meet[b][a] = m
+            join_a[b] = join[b][a] = j
+    return meet, join, None
+
+
+def _tables(down, up, pos):
+    meet, join, missing = operation_tables(down, up, pos)
+    if missing is not None:
+        raise ValueError('not a lattice: %d and %d have no %s' % missing)
+    return meet, join
+
+
 def distributive_witness(down, up, pos):
-    'Triple breaking meet-over-join distributivity, or None.'
+    '''First triple (a, b, c), c >= b, breaking meet-over-join distributivity.
+
+    Tests a ^ (b v c) == (a ^ b) v (a ^ c) in the order a, then b, then
+    c from b up, on tables built for this call; None when every triple
+    holds.
+    '''
+    meet, join = _tables(down, up, pos)
     n = len(down)
     for a in range(n):
-        da = down[a]
+        meet_a = meet[a]
         for b in range(n):
-            ab = _set_max(da & down[b], down, pos)
-            for c in range(b, n):
-                bc = _set_min(up[b] & up[c], up, pos)
-                left = _set_max(da & down[bc], down, pos)
-                ac = _set_max(da & down[c], down, pos)
-                right = _set_min(up[ab] & up[ac], up, pos)
-                if left != right:
-                    return a, b, c
+            left = [meet_a[x] for x in join[b][b:]]
+            join_ab = join[meet_a[b]]
+            right = [join_ab[y] for y in meet_a[b:]]
+            if left != right:
+                for c in range(len(left)):
+                    if left[c] != right[c]:
+                        return a, b, b + c
+    return None
+
+
+def heyting_witness(down, up, pos):
+    '''First pair (a, b) with no greatest x such that a ^ x <= b, or None.
+
+    For each a the elements x are grouped by a ^ x; the candidates for
+    a -> b are the union of the groups at or below b, and the implication
+    exists when that set has a greatest element.
+    '''
+    meet, _ = _tables(down, up, pos)
+    n = len(down)
+    below = [bit_indices(d) for d in down]
+    for a in range(n):
+        groups = [0] * n
+        for x, m in enumerate(meet[a]):
+            groups[m] |= 1 << x
+        for b in range(n):
+            cand = 0
+            for m in below[b]:
+                cand |= groups[m]
+            if _set_max(cand, down, pos) < 0:
+                return a, b
     return None

@@ -24,7 +24,7 @@ ENVELOPE_MAX_POINTS = 12
 
 
 def _set_label(mask):
-    return '{%s}' % ','.join(str(i) for i in kernels.pure.bit_indices(mask))
+    return '{%s}' % ','.join(str(i) for i in kernels.bit_indices(mask))
 
 
 def _inclusion_lattice(masks):
@@ -54,8 +54,13 @@ def downset_masks(poset, cap=DOWNSET_CAP):
     return _downset_lattice_cached(poset, cap)[1]
 
 
+@lru_cache(maxsize=16)
 def qccl_lattice(poset, cap=DOWNSET_CAP):
-    'Lattice of up-sets (the closed constructible sets) ordered by inclusion.'
+    '''Lattice of up-sets (the closed constructible sets) ordered by inclusion.
+
+    Two reports of one poset ask for it back to back, so a few entries
+    are cache enough.
+    '''
     masks = sorted(poset.full ^ d for d in kernels.downset_masks(poset.up, cap))
     return _inclusion_lattice(masks)
 

@@ -91,12 +91,18 @@ def parse_text(text):
                    top=bounds.get('top'))
 
 
+def _is_int(value):
+    'A json integer; true and false are bools, which Python counts as ints.'
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj, key, types):
     if key not in obj:
         raise InputError('json object is missing %r' % key)
-    if not isinstance(obj[key], types):
+    value = obj[key]
+    if not isinstance(value, types) or isinstance(value, bool):
         raise InputError('json field %r has the wrong type' % key)
-    return obj[key]
+    return value
 
 
 def from_json_obj(obj):
@@ -111,7 +117,7 @@ def from_json_obj(obj):
     pairs = []
     for entry in raw_pairs:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(v, int) for v in entry)):
+                and all(_is_int(v) for v in entry)):
             raise InputError('less_than entries must be [i, j] pairs, got %r'
                              % (entry,))
         pairs.append(tuple(entry))
@@ -123,7 +129,7 @@ def from_json_obj(obj):
     bottom = obj.get('bottom')
     top = obj.get('top')
     for key, value in (('bottom', bottom), ('top', top)):
-        if value is not None and not isinstance(value, int):
+        if value is not None and not _is_int(value):
             raise InputError('json field %r has the wrong type' % key)
     return Lattice(size, pairs, bottom=bottom, top=top)
 

@@ -4,6 +4,9 @@ The compiled lane (finspec._fastbits, Cython over uint64 masks) mirrors
 _bits_py for structures of at most 64 points and is picked at import when
 the extension built.  Set FINSPEC_PURE=1 to force the pure lane.  Every
 function falls back per call when a structure is too wide for uint64.
+The compiled lane is frozen at its shipped C, so the kernels it lacks
+(operation_tables, heyting_witness and the meet and join lookups) run on
+the pure lane at every size.
 '''
 
 import os
@@ -18,6 +21,13 @@ if os.environ.get('FINSPEC_PURE') != '1':
         _fast = None
 
 WORD = 64
+
+# kernels with no compiled twin are the pure functions themselves
+bit_indices = pure.bit_indices
+meet_index = pure.meet_index
+join_index = pure.join_index
+operation_tables = pure.operation_tables
+heyting_witness = pure.heyting_witness
 
 
 def backend():

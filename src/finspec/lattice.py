@@ -3,8 +3,12 @@
 The constructor closes the relation, checks antisymmetry, locates bottom
 and top, and verifies that every pair of elements has a greatest lower
 and least upper bound; meet and join are then derived from the order, so
-there is a single source of truth.  Absent values (a pseudocomplement or
-implication that does not exist) come back as None, never as an error.
+there is a single source of truth.  Validation and the distributivity
+and Heyting checks build meet and join tables from the order per call
+and drop them on return; a Lattice never keeps them, which keeps the
+many lattices held by duality's caches small.  Absent
+values (a pseudocomplement or implication that does not exist) come
+back as None, never as an error.
 '''
 
 from functools import cached_property
@@ -72,14 +76,9 @@ class Lattice:
                 pos[i] = rank
             self._pos = pos
 
-        for a in range(n):
-            for b in range(a + 1, n):
-                if kernels.pure._set_max(self.down[a] & self.down[b],
-                                         self.down, self._pos) < 0:
-                    raise InputError('not a lattice: %d and %d have no meet' % (a, b))
-                if kernels.pure._set_min(self.up[a] & self.up[b],
-                                         self.up, self._pos) < 0:
-                    raise InputError('not a lattice: %d and %d have no join' % (a, b))
+        _, _, missing = kernels.operation_tables(self.down, self.up, self._pos)
+        if missing is not None:
+            raise InputError('not a lattice: %d and %d have no %s' % missing)
 
     def __reduce__(self):
         return (_rebuild_lattice, (self.up, self.labels))
@@ -113,14 +112,14 @@ class Lattice:
     def meet(self, a, b):
         self._index(a)
         self._index(b)
-        got = kernels.pure._set_max(self.down[a] & self.down[b], self.down, self._pos)
+        got = kernels.meet_index(self.down, self._pos, a, b)
         assert got >= 0, 'validated lattice lost a meet'
         return got
 
     def join(self, a, b):
         self._index(a)
         self._index(b)
-        got = kernels.pure._set_min(self.up[a] & self.up[b], self.up, self._pos)
+        got = kernels.join_index(self.up, self._pos, a, b)
         assert got >= 0, 'validated lattice lost a join'
         return got
 
@@ -172,9 +171,16 @@ class Lattice:
         got = kernels.implication_index(self.down, self._pos, a, b)
         return None if got < 0 else got
 
+    @cached_property
+    def _heyting_witness(self):
+        return kernels.heyting_witness(self.down, self.up, self._pos)
+
     def is_heyting(self):
-        return all(self.implication(a, b) is not None
-                   for a in range(self.n) for b in range(self.n))
+        return self._heyting_witness is None
+
+    def heyting_witness(self):
+        'First pair (a, b) with no implication a -> b, or None.'
+        return self._heyting_witness
 
     def is_boolean(self):
         'Distributive, and every element has a complement.'
@@ -195,7 +201,7 @@ class Lattice:
         for j in range(self.n):
             if j == self.bottom:
                 continue
-            strict = kernels.pure.bit_indices(self.down[j] ^ 1 << j)
+            strict = kernels.bit_indices(self.down[j] ^ 1 << j)
             if all(self.join(a, b) != j for a in strict for b in strict):
                 out.append(j)
         return out
@@ -263,7 +269,7 @@ class LatticeIdeal:
             raise InputError('an ideal cannot be empty')
         if lattice.order_poset().down_closure_mask(mask) != mask:
             raise InputError('ideal members must be down-closed')
-        idx = kernels.pure.bit_indices(mask)
+        idx = kernels.bit_indices(mask)
         for a in idx:
             for b in idx:
                 if not mask >> lattice.join(a, b) & 1:
@@ -299,7 +305,7 @@ class LatticeIdeal:
         if not self.is_proper():
             return False
         lat = self.lattice
-        outside = kernels.pure.bit_indices(lat.full & ~self.mask)
+        outside = kernels.bit_indices(lat.full & ~self.mask)
         for a in outside:
             for b in outside:
                 if self.mask >> lat.meet(a, b) & 1:

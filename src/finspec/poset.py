@@ -89,7 +89,7 @@ class Poset:
         return mask
 
     def set_of(self, mask):
-        return frozenset(kernels.pure.bit_indices(mask))
+        return frozenset(kernels.bit_indices(mask))
 
     def covers(self):
         'Covering pairs (i, j) with j immediately above i.'
@@ -216,10 +216,12 @@ class Poset:
         return self.down[x] & self.up[x]
 
     def is_patch_open_mask(self, mask):
+        down, up = self.down, self.up
         rest = mask
         while rest:
             low = rest & -rest
-            if self.patch_neighborhood_mask(low.bit_length() - 1) & ~mask:
+            x = low.bit_length() - 1
+            if down[x] & up[x] & ~mask:
                 return False
             rest ^= low
         return True
@@ -231,9 +233,10 @@ class Poset:
         return self.is_patch_closed_mask(self.mask_of(points))
 
     def patch_closure_mask(self, mask):
+        down, up = self.down, self.up
         out = 0
         for x in range(self.n):
-            if self.patch_neighborhood_mask(x) & mask:
+            if down[x] & up[x] & mask:
                 out |= 1 << x
         return out
 
@@ -310,7 +313,7 @@ class Poset:
     def confluence_witness(self):
         'Triple (x, y, z) with y, z below x but no common lower bound, or None.'
         for x in range(self.n):
-            below = kernels.pure.bit_indices(self.down[x])
+            below = kernels.bit_indices(self.down[x])
             for ai in range(len(below)):
                 da = self.down[below[ai]]
                 for bi in range(ai + 1, len(below)):

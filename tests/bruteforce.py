@@ -199,11 +199,59 @@ def pseudocomplement_by_scan(lattice, a):
     return None
 
 
-def implication_by_scan(lattice, a, b):
-    meets = meet_table(lattice)
+def implication_by_scan(lattice, a, b, meets=None):
+    'Greatest x with meet(a, x) <= b, by scanning; meets may pass a meet_table.'
+    if meets is None:
+        meets = meet_table(lattice)
     below = [x for x in range(lattice.n)
              if lattice.leq(meets[a][x], b)]
     for x in below:
         if all(lattice.leq(y, x) for y in below):
             return x
+    return None
+
+
+# ----------------------------------------------------------------------
+# bound tables of a bare order, from pair sets alone
+
+
+def bound_tables(n, rel):
+    '''Meet and join tables of the order rel, a set of (i, j) pairs for i <= j.
+
+    Each entry scans the common lower (upper) bounds for one that sits
+    above (below) all the others; None where the pair has no such bound.
+    '''
+    def extremum(cands, above):
+        for x in cands:
+            if all(((y, x) if above else (x, y)) in rel for y in cands):
+                return x
+        return None
+
+    meet = [[extremum([x for x in range(n) if (x, a) in rel and (x, b) in rel], True)
+             for b in range(n)] for a in range(n)]
+    join = [[extremum([x for x in range(n) if (a, x) in rel and (b, x) in rel], False)
+             for b in range(n)] for a in range(n)]
+    return meet, join
+
+
+def first_missing_bound(n, rel):
+    'First pair a < b, in row order, lacking a meet (checked first) or a join.'
+    meet, join = bound_tables(n, rel)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if meet[a][b] is None:
+                return a, b, 'meet'
+            if join[a][b] is None:
+                return a, b, 'join'
+    return None
+
+
+def first_distributivity_failure(meet, join):
+    'First (a, b, c) with c >= b where a ^ (b v c) and (a ^ b) v (a ^ c) differ.'
+    n = len(meet)
+    for a in range(n):
+        for b in range(n):
+            for c in range(b, n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return a, b, c
     return None

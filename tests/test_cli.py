@@ -194,6 +194,20 @@ def test_bad_file_reports_line(capsys, tmp_path):
     assert code == 2 and 'line 2' in err
 
 
+@pytest.mark.parametrize('payload', [
+    '{"kind": "poset", "size": true, "less_than": []}',
+    '{"kind": "poset", "size": 2, "less_than": [[false, true]]}',
+    '{"kind": "lattice", "size": 1, "less_than": [], "bottom": false}',
+    '{"kind": "lattice", "size": 2, "less_than": [[0, 1]], "top": true}',
+], ids=['size', 'less_than', 'bottom', 'top'])
+def test_json_bool_for_int_exits_two(capsys, tmp_path, payload):
+    target = tmp_path / 'bool.json'
+    target.write_text(payload, encoding='utf-8')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 2 and out == ''
+    assert 'wrong type' in err or 'pairs' in err
+
+
 def test_resource_limits_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, 'check', 'bool13')
     assert code == 3 and 'resource limit' in err

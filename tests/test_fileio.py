@@ -91,6 +91,17 @@ def test_json_rejections():
         to_json_obj('not a structure')
 
 
+def test_json_rejects_bools_for_ints():
+    with pytest.raises(InputError, match="'size' has the wrong type"):
+        parse_json('{"kind": "poset", "size": true, "less_than": []}')
+    with pytest.raises(InputError, match=r'must be \[i, j\] pairs'):
+        parse_json('{"kind": "poset", "size": 2, "less_than": [[false, true]]}')
+    with pytest.raises(InputError, match="'bottom' has the wrong type"):
+        parse_json('{"kind": "lattice", "size": 1, "less_than": [], "bottom": false}')
+    with pytest.raises(InputError, match="'top' has the wrong type"):
+        parse_json('{"kind": "lattice", "size": 2, "less_than": [[0, 1]], "top": true}')
+
+
 def test_parse_sniffs_format():
     assert parse('  {"kind": "poset", "size": 1, "less_than": []}').n == 1
     assert parse('poset 1\n').n == 1

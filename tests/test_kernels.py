@@ -6,13 +6,10 @@ import bruteforce as bf
 from finspec import _bits_py as pure
 from finspec import kernels
 from finspec.errors import ResourceLimitError
+from finspec.fixtures import chain_lattice, m3, n5
 
-try:
-    from finspec import _fastbits as fast
-except ImportError:
-    fast = None
-
-needs_fast = pytest.mark.skipif(fast is None, reason='extension not built')
+# The lane-agreement tests take the `fast` fixture from conftest.py, which
+# compiles the shipped _fastbits.c for the session.
 
 
 def test_transitive_closure_matches_pair_oracle():
@@ -100,6 +97,24 @@ def test_lattice_helper_values_on_diamond():
     assert pure.distributive_witness(down, up, None) is None
 
 
+def test_operation_tables():
+    # B2 again: full tables on a lattice
+    down = [0b0001, 0b0011, 0b0101, 0b1111]
+    up = [0b1111, 0b1010, 0b1100, 0b1000]
+    meet, join, missing = pure.operation_tables(down, up, None)
+    assert missing is None
+    assert meet == [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    assert join == [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
+    assert pure.operation_tables(down, up, [0, 1, 2, 3]) == (meet, join, None)
+    # 0 under 1 and 2: every meet exists, 1 and 2 have no join
+    lam_down, lam_up = [0b001, 0b011, 0b101], [0b111, 0b010, 0b100]
+    # 0 and 1 under 2: every join exists, 0 and 1 have no meet
+    vee_down, vee_up = [0b001, 0b010, 0b111], [0b101, 0b110, 0b100]
+    for pos in (None, [0, 1, 2]):
+        assert pure.operation_tables(lam_down, lam_up, pos) == (None, None, (1, 2, 'join'))
+        assert pure.operation_tables(vee_down, vee_up, pos) == (None, None, (0, 1, 'meet'))
+
+
 def test_lattice_helpers_respect_rank_positions():
     # permute the diamond out of linear-extension order; expectations
     # derive from the canonical copy through the permutation itself
@@ -128,8 +143,7 @@ def test_lattice_helpers_respect_rank_positions():
         1 << perm[i] for i in range(n) if pure.prime_element_mask(base_down, None) >> i & 1)
 
 
-@needs_fast
-def test_lanes_agree_exhaustively():
+def test_lanes_agree_exhaustively(fast):
     for n in range(6):
         for rows in pure.labeled_stream(n):
             r = list(rows)
@@ -139,38 +153,57 @@ def test_lanes_agree_exhaustively():
             assert list(fast._extension_pairs(r)) == list(pure._extension_pairs(r))
 
 
-@needs_fast
-def test_lanes_agree_on_enumeration():
+def test_lanes_agree_on_enumeration(fast):
     for n in range(6):
         assert fast.count_labeled(n) == pure.count_labeled(n)
         assert fast.unlabeled_reps(n) == pure.unlabeled_reps(n)
     assert list(fast.labeled_stream(4)) == list(pure.labeled_stream(4))
 
 
-@needs_fast
-def test_lanes_agree_on_lattice_helpers():
+def _product_rows(left, right):
+    'Up rows of the product order, numbered x * right.n + y, a linear extension.'
+    k = right.n
+    return [sum(1 << (x2 * k + y2) for x2 in range(left.n) for y2 in range(k)
+                if left.up[x] >> x2 & 1 and right.up[y] >> y2 & 1)
+            for x in range(left.n) for y in range(k)]
+
+
+def _helper_lattices():
+    'Down and up rows of the down-set lattices on up to 4 points, then M3, N5 products.'
     for n in range(5):
         for rows in pure.labeled_stream(n):
             dsets = pure.downset_masks(list(rows))
-            m = len(dsets)
             down = [sum(1 << j for j, e in enumerate(dsets) if e & ~d == 0)
                     for d in dsets]
             up = [sum(1 << j for j, e in enumerate(dsets) if d & ~e == 0)
                   for d in dsets]
-            assert (fast.pseudocomplement_vector(down, None, 0)
-                    == pure.pseudocomplement_vector(down, None, 0))
-            assert (fast.prime_element_mask(down, None)
-                    == pure.prime_element_mask(down, None))
-            assert (fast.distributive_witness(down, up, None)
-                    == pure.distributive_witness(down, up, None))
-            for a in range(m):
-                for b in range(m):
-                    assert (fast.implication_index(down, None, a, b)
-                            == pure.implication_index(down, None, a, b))
+            yield down, up
+    # not distributive, so both lanes must name the same witness triple
+    for base in (m3(), n5()):
+        for chain in (chain_lattice(1), chain_lattice(2), chain_lattice(3)):
+            up = _product_rows(base, chain)
+            yield pure.transpose(up), up
 
 
-@needs_fast
-def test_fast_lane_cap_message_matches():
+def test_lanes_agree_on_lattice_helpers(fast):
+    witnesses = 0
+    for down, up in _helper_lattices():
+        m = len(down)
+        assert (fast.pseudocomplement_vector(down, None, 0)
+                == pure.pseudocomplement_vector(down, None, 0))
+        assert (fast.prime_element_mask(down, None)
+                == pure.prime_element_mask(down, None))
+        got = fast.distributive_witness(down, up, None)
+        assert got == pure.distributive_witness(down, up, None)
+        witnesses += got is not None
+        for a in range(m):
+            for b in range(m):
+                assert (fast.implication_index(down, None, a, b)
+                        == pure.implication_index(down, None, a, b))
+    assert witnesses == 6
+
+
+def test_fast_lane_cap_message_matches(fast):
     anti = [1 << i for i in range(13)]
     with pytest.raises(ResourceLimitError) as pure_exc:
         pure.downset_masks(anti, 4096)

@@ -1,6 +1,7 @@
 '''Lattice structure: meets, joins, derived algebra, ideals.'''
 
 import pickle
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from finspec.duality import downset_lattice
 from finspec.errors import InputError
 from finspec.fixtures import bool_lattice, chain_lattice, l3, m3, n5, v3
 from finspec.lattice import Lattice, LatticeIdeal
+from finspec.poset import Poset
 
 
 def test_constructor_rejects_non_lattices():
@@ -216,3 +218,91 @@ def test_residuation_law_on_heyting_cases():
                 arrow = lat.implication(a, b)
                 for x in range(lat.n):
                     assert lat.leq(x, arrow) == lat.leq(lat.meet(a, x), b)
+
+
+# ----------------------------------------------------------------------
+# table-driven predicates against pair-set scans
+
+
+def _renumbered(rel, perm):
+    return {(perm[i], perm[j]) for i, j in rel}
+
+
+def _product_rel(left, right):
+    'Order of the product lattice on pairs (x, y) numbered x * right.n + y.'
+    k = right.n
+    return {(x * k + y, x2 * k + y2)
+            for x in range(left.n) for y in range(k)
+            for x2 in range(left.n) for y2 in range(k)
+            if left.leq(x, x2) and right.leq(y, y2)}
+
+
+def _table_cases():
+    'Orders as (n, rel): down-set lattices, then renumbered M3, N5 products.'
+    for n in range(5):
+        for rows in pure.labeled_stream(n):
+            lat = downset_lattice(Poset.from_up_rows(rows))
+            yield lat.n, bf.rel_of_rows(lat.up)
+    rng = random.Random(4)
+    for base in (m3(), n5()):
+        for chain in (chain_lattice(1), chain_lattice(2), chain_lattice(3)):
+            rel = _product_rel(base, chain)
+            size = base.n * chain.n
+            for _ in range(3):
+                perm = list(range(size))
+                rng.shuffle(perm)
+                yield size, _renumbered(rel, perm)
+
+
+def test_table_predicates_match_pair_scans():
+    renumbered = 0
+    for n, rel in _table_cases():
+        lat = Lattice(n, sorted(rel))
+        renumbered += lat._pos is not None
+        meet, join = bf.bound_tables(n, rel)
+        assert lat.distributivity_witness() == bf.first_distributivity_failure(meet, join)
+        meets = bf.meet_table(lat)
+        missing = [(a, b) for a in range(n) for b in range(n)
+                   if bf.implication_by_scan(lat, a, b, meets) is None]
+        assert lat.is_heyting() == (missing == [])
+        assert lat.heyting_witness() == (missing[0] if missing else None)
+    assert renumbered > 0  # the ranked-numbering path ran
+
+
+def test_constructor_names_first_missing_bound():
+    # bounded orders: a fresh bottom and top around every labeled order on
+    # up to 4 points, some renumbered; many of them are not lattices
+    rng = random.Random(5)
+    rejected = 0
+    for k in range(5):
+        for rows in pure.labeled_stream(k):
+            n = k + 2
+            rel = {(i + 1, j + 1) for i, j in bf.rel_of_rows(rows)}
+            rel |= {(0, x) for x in range(n)} | {(x, n - 1) for x in range(n)}
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for order in (rel, _renumbered(rel, perm)):
+                want = bf.first_missing_bound(n, order)
+                if want is None:
+                    assert Lattice(n, sorted(order)).n == n
+                    continue
+                rejected += 1
+                with pytest.raises(InputError) as exc:
+                    Lattice(n, sorted(order))
+                assert str(exc.value) == 'not a lattice: %d and %d have no %s' % want
+    assert rejected > 0
+    # 1 and 2 lack both bounds, over 3, 4 and under 5, 6: the meet is named
+    crown = [(3, 1), (3, 2), (4, 1), (4, 2), (1, 5), (1, 6), (2, 5), (2, 6)]
+    crown += [(0, x) for x in range(8)] + [(x, 7) for x in range(8)]
+    assert bf.first_missing_bound(8, bf.closure_pairs(8, crown)) == (1, 2, 'meet')
+    with pytest.raises(InputError, match='^not a lattice: 1 and 2 have no meet$'):
+        Lattice(8, crown)
+
+
+def test_predicates_keep_no_operation_tables():
+    # the tables are built per check; a lattice keeps its order and verdicts
+    lat = downset_lattice(Poset(4))
+    assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
+    assert sorted(vars(lat)) == [
+        '_distributive_witness', '_heyting_witness', '_pos', '_pseudocomplements',
+        'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
