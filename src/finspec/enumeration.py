@@ -6,8 +6,6 @@ representative per isomorphism class, ascending in the canonical key, so
 the delivered order never depends on how the work was split up.
 '''
 
-from functools import lru_cache
-
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .poset import Poset
@@ -15,11 +13,6 @@ from .poset import Poset
 MAX_POINTS = 7
 
 MODES = ('labeled', 'unlabeled')
-
-
-@lru_cache(maxsize=None)
-def _reps(n):
-    return kernels.unlabeled_reps(n)
 
 
 def _check_args(n, mode, max_points):
@@ -39,7 +32,7 @@ def enumerate_posets(n, mode='unlabeled', max_points=None):
     if mode == 'labeled':
         source = kernels.labeled_stream(n)
     else:
-        source = _reps(n)
+        source = kernels.unlabeled_reps(n)
     return (Poset.from_up_rows(rows) for rows in source)
 
 
@@ -48,4 +41,4 @@ def count_posets(n, mode='unlabeled', max_points=None):
     _check_args(n, mode, max_points)
     if mode == 'labeled':
         return kernels.count_labeled(n)
-    return len(_reps(n))
+    return len(kernels.unlabeled_reps(n))

@@ -1,97 +1,438 @@
-'''Kernel lane selection.
+'''Bit-twiddled kernels behind every poset, lattice and enumeration.
 
-The compiled lane (finspec._fastbits, Cython over uint64 masks) mirrors
-_bits_py for structures of at most 64 points and is picked at import when
-the extension built.  Set FINSPEC_PURE=1 to force the pure lane.  Every
-function falls back per call when a structure is too wide for uint64.
-The compiled lane is frozen at its shipped C, so the kernels it lacks
-(operation_tables, heyting_witness and the meet and join lookups) run on
-the pure lane at every size.
+A relation on n points is a list or tuple of n int bitmasks; row i has
+bit j set when i <= j.  Python ints are unbounded, so every kernel works
+at any size; the callers' caps bound the work.
+
+Lattice helpers take `down` rows (bit j of row i set when j <= i) and an
+optional `pos` list of topological ranks.  When `pos` is None the element
+numbering itself must be a linear extension, which lets the unique-extremum
+search use bit_length() directly.
+
+Meet and join come from the order alone.  operation_tables builds both
+tables from the order; the distributivity and Heyting checks build them
+per call and drop them on return, so no table outlives its check.
 '''
 
-import os
+from functools import lru_cache
 
-from . import _bits_py as pure
-
-_fast = None
-if os.environ.get('FINSPEC_PURE') != '1':
-    try:
-        from . import _fastbits as _fast
-    except ImportError:
-        _fast = None
-
-WORD = 64
-
-# kernels with no compiled twin are the pure functions themselves
-bit_indices = pure.bit_indices
-meet_index = pure.meet_index
-join_index = pure.join_index
-operation_tables = pure.operation_tables
-heyting_witness = pure.heyting_witness
+from .errors import ResourceLimitError
 
 
 def backend():
-    'Name of the lane picked at import.'
-    return 'pure' if _fast is None else 'compiled'
+    'Name of the kernel lane: always the pure Python one.'
+    return 'pure'
 
 
-def _lane(n):
-    if _fast is not None and n <= WORD:
-        return _fast
-    return pure
+def bit_indices(mask):
+    'Indices of the set bits of mask, ascending.'
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def popcount(mask):
+    return bin(mask).count('1')
 
 
 def transitive_closure(rows):
-    return _lane(len(rows)).transitive_closure(list(rows))
+    'Warshall closure of a reflexive relation held as row masks.'
+    n = len(rows)
+    out = list(rows)
+    for k in range(n):
+        bk = 1 << k
+        rk = out[k]
+        for i in range(n):
+            if out[i] & bk:
+                out[i] |= rk
+    return out
 
 
 def antisymmetry_violation(rows):
-    return pure.antisymmetry_violation(rows)
+    'First pair (i, j) related both ways with i < j, or None.'
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i] >> j & 1 and rows[j] >> i & 1:
+                return i, j
+    return None
 
 
 def transpose(rows):
-    return pure.transpose(rows)
+    'Column masks of a relation: bit i of entry j says i <= j.'
+    n = len(rows)
+    cols = [0] * n
+    for i in range(n):
+        row = rows[i]
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
 
 
 def downset_masks(rows, cap=None):
-    return _lane(len(rows)).downset_masks(list(rows), cap)
+    'Every down-closed subset as a mask, ascending; cap guards blowup.'
+    n = len(rows)
+    cols = transpose(rows)
+    order = sorted(range(n), key=lambda i: (popcount(cols[i]), i))
+    sets_ = [0]
+    for v in order:
+        need = cols[v] ^ 1 << v
+        grown = [d | 1 << v for d in sets_ if need & ~d == 0]
+        sets_.extend(grown)
+        if cap is not None and len(sets_) > cap:
+            raise ResourceLimitError(
+                'more than %d down-sets on %d points' % (cap, n))
+    sets_.sort()
+    return sets_
 
 
 def canonical_key(rows):
-    return _lane(len(rows)).canonical_key(tuple(rows))
+    '''Relabeling of rows minimizing the staircase-read relation matrix.
+
+    The bit string compared lists, for k = 0..n-1, the column entries
+    M[0][k]..M[k-1][k] and then the row entries M[k][0]..M[k][k-1].
+    Minimizing that string over all n! relabelings is a canonical form;
+    reading the matrix in growing-submatrix order makes prefixes known
+    after k assignments, so the search prunes hard.  Interchangeable
+    points (identical rows and columns once the diagonal is cleared) are
+    swapped by an automorphism, so only one of them is tried per depth;
+    without this an antichain costs n! steps.  Larger symmetries, say a
+    disjoint sum of many equal chains, still cost exponential time; fine
+    at enumeration scale, unsuitable for big highly symmetric inputs.
+    Returns the relabeled row masks.
+    '''
+    n = len(rows)
+    if n <= 1:
+        return tuple(rows)
+    cols = transpose(rows)
+    nup = [popcount(rows[i]) for i in range(n)]
+    ndn = [popcount(cols[i]) for i in range(n)]
+    # candidates with few points above tend to open minimal rows
+    order = sorted(range(n), key=lambda v: (nup[v], ndn[v], v))
+    steps = [0] * n
+    assign = []
+    used = [False] * n
+    best = None
+    best_perm = None
+
+    def rec():
+        nonlocal best, best_perm
+        k = len(assign)
+        if k == n:
+            if best is None or steps < best:
+                best = steps[:]
+                best_perm = assign[:]
+            return
+        tried = []
+        for v in order:
+            if used[v]:
+                continue
+            sig = (rows[v] ^ 1 << v, cols[v] ^ 1 << v)
+            if sig in tried:
+                continue
+            tried.append(sig)
+            val = 0
+            for u in assign:
+                val = val << 1 | (rows[u] >> v & 1)
+            for u in assign:
+                val = val << 1 | (rows[v] >> u & 1)
+            steps[k] = val
+            if best is not None and steps[:k + 1] > best[:k + 1]:
+                continue
+            used[v] = True
+            assign.append(v)
+            rec()
+            assign.pop()
+            used[v] = False
+
+    rec()
+    out = []
+    for p in range(n):
+        src = rows[best_perm[p]]
+        mask = 0
+        for q in range(n):
+            if src >> best_perm[q] & 1:
+                mask |= 1 << q
+        out.append(mask)
+    return tuple(out)
+
+
+def _extension_pairs(rows):
+    '''Yield (A, B) mask pairs describing how one extra point can sit.
+
+    A is the strict down-set and B the strict up-set of the new point;
+    A must be down-closed, B up-closed, and every member of A must lie
+    strictly below every member of B already.  Each extended order on
+    k+1 points arises from exactly one pair, so the labeled stream
+    built on this is duplicate-free.
+    '''
+    k = len(rows)
+    full = (1 << k) - 1
+    strict = [rows[i] ^ 1 << i for i in range(k)]
+    dsets = downset_masks(rows)
+    usets = [full ^ d for d in dsets]
+    usets.sort()
+    for a_mask in dsets:
+        common = full
+        rest = a_mask
+        while rest:
+            low = rest & -rest
+            common &= strict[low.bit_length() - 1]
+            rest ^= low
+        for b_mask in usets:
+            if b_mask & ~common:
+                continue
+            yield a_mask, b_mask
+
+
+def _extend(rows, a_mask, b_mask):
+    k = len(rows)
+    bit = 1 << k
+    out = [rows[i] | (bit if a_mask >> i & 1 else 0) for i in range(k)]
+    out.append(bit | b_mask)
+    return out
 
 
 def labeled_stream(n):
-    return _lane(n).labeled_stream(n)
+    'Every partial order on 0..n-1 exactly once, depth-first extension order.'
+
+    def rec(rows):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for a_mask, b_mask in _extension_pairs(rows):
+            yield from rec(_extend(rows, a_mask, b_mask))
+
+    yield from rec([])
 
 
 def count_labeled(n):
-    return _lane(n).count_labeled(n)
+    'Number of partial orders on 0..n-1, by the same recursion as the stream.'
+
+    def rec(rows):
+        if len(rows) == n - 1:
+            return sum(1 for _ in _extension_pairs(rows))
+        total = 0
+        for a_mask, b_mask in _extension_pairs(rows):
+            total += rec(_extend(rows, a_mask, b_mask))
+        return total
+
+    if n == 0:
+        return 1
+    return rec([])
 
 
+@lru_cache(maxsize=None)
 def unlabeled_reps(n):
-    return _lane(n).unlabeled_reps(n)
+    '''Canonical representative rows of every isomorphism class, ascending.
+
+    Level n grows from level n - 1, which the cache keeps, so each level
+    is built once per process.  The cache hands the same tuple of row
+    tuples to every caller.
+    '''
+    if n == 0:
+        return ((),)
+    seen = set()
+    for rows in unlabeled_reps(n - 1):
+        rows = list(rows)
+        for a_mask, b_mask in _extension_pairs(rows):
+            seen.add(canonical_key(tuple(_extend(rows, a_mask, b_mask))))
+    return tuple(sorted(seen))
+
+
+def _set_max(mask, down, pos):
+    'Index of the greatest element of the mask-set, or -1 if there is none.'
+    if mask == 0:
+        return -1
+    if pos is None:
+        cand = mask.bit_length() - 1
+    else:
+        cand = max(bit_indices(mask), key=lambda i: pos[i])
+    if mask & ~down[cand]:
+        return -1
+    return cand
+
+
+def _set_min(mask, up, pos):
+    'Index of the least element of the mask-set, or -1 if there is none.'
+    if mask == 0:
+        return -1
+    if pos is None:
+        cand = (mask & -mask).bit_length() - 1
+    else:
+        cand = min(bit_indices(mask), key=lambda i: pos[i])
+    if mask & ~up[cand]:
+        return -1
+    return cand
+
+
+def meet_index(down, pos, a, b):
+    return _set_max(down[a] & down[b], down, pos)
+
+
+def join_index(up, pos, a, b):
+    return _set_min(up[a] & up[b], up, pos)
 
 
 def pseudocomplement_vector(down, pos, bottom):
-    if pos is None:
-        return _lane(len(down)).pseudocomplement_vector(list(down), None, bottom)
-    return pure.pseudocomplement_vector(down, pos, bottom)
+    'Per element, the greatest disjoint partner, or -1 when absent.'
+    n = len(down)
+    bot = 1 << bottom
+    out = []
+    for a in range(n):
+        da = down[a]
+        cand = 0
+        for x in range(n):
+            if da & down[x] == bot:
+                cand |= 1 << x
+        out.append(_set_max(cand, down, pos))
+    return out
 
 
 def implication_index(down, pos, a, b):
-    if pos is None:
-        return _lane(len(down)).implication_index(list(down), None, a, b)
-    return pure.implication_index(down, pos, a, b)
+    'Greatest x with meet(a, x) <= b, or -1 when absent.'
+    n = len(down)
+    da = down[a]
+    notb = ~down[b]
+    cand = 0
+    for x in range(n):
+        if da & down[x] & notb == 0:
+            cand |= 1 << x
+    return _set_max(cand, down, pos)
 
 
 def prime_element_mask(down, pos):
-    if pos is None:
-        return _lane(len(down)).prime_element_mask(list(down), None)
-    return pure.prime_element_mask(down, pos)
+    '''Mask of elements x whose principal down-set is a proper prime ideal.
+
+    Every ideal of a finite lattice is principal, so scanning principal
+    down-sets scans all ideals.  An element with two or more upper covers
+    meets them back to itself and can never be prime, which keeps the
+    pair scan off most candidates.
+    '''
+    n = len(down)
+    full = (1 << n) - 1
+    out = 0
+    for x in range(n):
+        if down[x] == full:
+            continue
+        above = 0
+        for y in range(n):
+            if y != x and down[y] >> x & 1:
+                above |= 1 << y
+        covers = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            if down[y] & above == low:
+                covers |= low
+                if covers != low:
+                    break
+            rest ^= low
+        if popcount(covers) > 1:
+            continue
+        outside = bit_indices(full & ~down[x])
+        notx = ~down[x]
+        prime = True
+        for ai in range(len(outside)):
+            da = down[outside[ai]]
+            for bi in range(ai, len(outside)):
+                if da & down[outside[bi]] & notx == 0:
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
+            out |= 1 << x
+    return out
+
+
+def operation_tables(down, up, pos):
+    '''Meet and join tables read off the order, as (meet, join, None).
+
+    When some pair lacks a bound, returns (None, None, (a, b, kind))
+    instead, for the first pair a < b in row order, kind 'meet' or
+    'join'; a missing meet is reported before a missing join.
+    '''
+    n = len(down)
+    meet = [[a] * n for a in range(n)]
+    join = [[a] * n for a in range(n)]
+    for a in range(n):
+        da, ua = down[a], up[a]
+        meet_a, join_a = meet[a], join[a]
+        for b in range(a + 1, n):
+            lower, upper = da & down[b], ua & up[b]
+            if pos is None:
+                # a linear-extension numbering leaves one candidate each:
+                # the highest common lower and the lowest common upper bound
+                m = lower.bit_length() - 1
+                j = (upper & -upper).bit_length() - 1
+            else:
+                m = _set_max(lower, down, pos)
+                j = _set_min(upper, up, pos)
+            # a candidate is the bound exactly when the common bounds are
+            # its own down-set (up-set)
+            if m < 0 or down[m] != lower:
+                return None, None, (a, b, 'meet')
+            if j < 0 or up[j] != upper:
+                return None, None, (a, b, 'join')
+            meet_a[b] = meet[b][a] = m
+            join_a[b] = join[b][a] = j
+    return meet, join, None
+
+
+def _tables(down, up, pos):
+    meet, join, missing = operation_tables(down, up, pos)
+    if missing is not None:
+        raise ValueError('not a lattice: %d and %d have no %s' % missing)
+    return meet, join
 
 
 def distributive_witness(down, up, pos):
-    if pos is None:
-        return _lane(len(down)).distributive_witness(list(down), list(up), None)
-    return pure.distributive_witness(down, up, pos)
+    '''First triple (a, b, c), c >= b, breaking meet-over-join distributivity.
+
+    Tests a ^ (b v c) == (a ^ b) v (a ^ c) in the order a, then b, then
+    c from b up, on tables built for this call; None when every triple
+    holds.
+    '''
+    meet, join = _tables(down, up, pos)
+    n = len(down)
+    for a in range(n):
+        meet_a = meet[a]
+        for b in range(n):
+            left = [meet_a[x] for x in join[b][b:]]
+            join_ab = join[meet_a[b]]
+            right = [join_ab[y] for y in meet_a[b:]]
+            if left != right:
+                for c in range(len(left)):
+                    if left[c] != right[c]:
+                        return a, b, b + c
+    return None
+
+
+def heyting_witness(down, up, pos):
+    '''First pair (a, b) with no greatest x such that a ^ x <= b, or None.
+
+    For each a the elements x are grouped by a ^ x; the candidates for
+    a -> b are the union of the groups at or below b, and the implication
+    exists when that set has a greatest element.
+    '''
+    meet, _ = _tables(down, up, pos)
+    n = len(down)
+    below = [bit_indices(d) for d in down]
+    for a in range(n):
+        groups = [0] * n
+        for x, m in enumerate(meet[a]):
+            groups[m] |= 1 << x
+        for b in range(n):
+            cand = 0
+            for m in below[b]:
+                cand |= groups[m]
+            if _set_max(cand, down, pos) < 0:
+                return a, b
+    return None

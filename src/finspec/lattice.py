@@ -66,8 +66,9 @@ class Lattice:
         self.top = found_top
 
         # None when the numbering is already a linear extension, which is
-        # what every internal construction produces and what the compiled
-        # kernels require; arbitrary numberings get explicit ranks.
+        # what every internal construction produces and what lets the
+        # kernels read extrema off bit_length(); arbitrary numberings get
+        # explicit ranks.
         self._pos = None
         if any(self.down[i] >> (i + 1) for i in range(n)):
             by_rank = sorted(range(n), key=lambda i: (bin(self.down[i]).count('1'), i))

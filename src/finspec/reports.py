@@ -269,14 +269,20 @@ def root_forest_report(poset):
             break
 
     max_meets_compact = True
+    # many (d, e) pairs meet in the same mask; each is checked once
+    compact = set()
     for d in poset.downset_masks_all:
         sub_max = _relative_max(poset, d)
         for e in poset.downset_masks_all:
-            if not poset.is_compact_mask(sub_max & e):
+            meet = sub_max & e
+            if meet in compact:
+                continue
+            if not poset.is_compact_mask(meet):
                 max_meets_compact = False
                 if witness is None:
                     witness = (poset.set_of(d), poset.set_of(e))
                 break
+            compact.add(meet)
         if not max_meets_compact:
             break
 

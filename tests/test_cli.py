@@ -1,5 +1,6 @@
 '''Command-line behavior: outputs, exit codes, determinism.'''
 
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,17 @@ def test_sweep_jobs_byte_identical(capsys):
     _, json_one, _ = run(capsys, 'sweep', '4', '--json')
     _, json_two, _ = run(capsys, 'sweep', '4', '--jobs', '3', '--json')
     assert json_one == json_two
+
+
+@pytest.mark.parametrize('argv, digest', [
+    (['sweep', '6'], 'e8cefdfbca1b099c57044fc3772f022a5ce9ffa92215fbeb5e8fa845a6059d3a'),
+    (['sweep', '4', '--mode', 'labeled'],
+     '945152591b9385599c888875abb2b304315f41e3cfbbc906e5d4e9a699f310c4'),
+])
+def test_sweep_json_is_byte_identical_to_pinned_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, '--json')
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_resolution_prefers_files(capsys, tmp_path):

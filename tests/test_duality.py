@@ -2,7 +2,7 @@
 
 import pytest
 
-from finspec import _bits_py as pure
+from finspec import kernels
 from finspec.duality import (ENVELOPE_MAX_POINTS, Isomorphism,
                              boolean_envelope, d_map, downset_lattice,
                              downset_masks, poset_roundtrip, qccl_lattice,
@@ -30,7 +30,7 @@ def test_qccl_is_dual_of_downsets():
     # maps element i of the down-set lattice to an element of the up-set
     # lattice, reversing order, so it must match the dual exactly
     for n in range(6):
-        for rows in pure.unlabeled_reps(n):
+        for rows in kernels.unlabeled_reps(n):
             p = Poset.from_up_rows(rows)
             up = qccl_lattice(p)
             down = downset_lattice(p)
@@ -50,7 +50,7 @@ def test_upset_masks_complement_downset_masks():
 
 def test_spec_of_downsets_recovers_the_poset():
     for n in range(6):
-        for rows in pure.unlabeled_reps(n):
+        for rows in kernels.unlabeled_reps(n):
             p = Poset.from_up_rows(rows)
             back = spec_poset(downset_lattice(p))
             assert back.n == p.n
@@ -65,7 +65,7 @@ def test_spec_of_nondistributive_lattices():
 
 def test_d_map_is_a_bounded_lattice_homomorphism():
     for n in range(5):
-        for rows in pure.unlabeled_reps(n):
+        for rows in kernels.unlabeled_reps(n):
             lat = downset_lattice(Poset.from_up_rows(rows))
             primes = lat.prime_ideals()
             assert d_map(lat, lat.bottom) == frozenset()
@@ -80,7 +80,7 @@ def test_d_map_is_a_bounded_lattice_homomorphism():
 def test_stone_roundtrip_succeeds_exactly_when_distributive():
     cases = [m3(), n5(), chain_lattice(1), chain_lattice(4), bool_lattice(3)]
     for n in range(5):
-        for rows in pure.unlabeled_reps(n):
+        for rows in kernels.unlabeled_reps(n):
             cases.append(downset_lattice(Poset.from_up_rows(rows)))
     for lat in cases:
         iso = stone_roundtrip(lat)
@@ -139,7 +139,7 @@ def test_boolean_envelope_of_antichain_is_the_downset_lattice():
 
 def test_envelope_bounds_preserved_everywhere():
     for n in range(5):
-        for rows in pure.unlabeled_reps(n):
+        for rows in kernels.unlabeled_reps(n):
             p = Poset.from_up_rows(rows)
             envelope, embedding = boolean_envelope(p)
             lat = downset_lattice(p)

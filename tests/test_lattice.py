@@ -6,7 +6,7 @@ import random
 import pytest
 
 import bruteforce as bf
-from finspec import _bits_py as pure
+from finspec import kernels
 from finspec.duality import downset_lattice
 from finspec.errors import InputError
 from finspec.fixtures import bool_lattice, chain_lattice, l3, m3, n5, v3
@@ -139,7 +139,7 @@ def test_prime_ideals_match_subset_filter():
     lattices = [m3(), n5(), chain_lattice(1), chain_lattice(4),
                 bool_lattice(2), bool_lattice(3)]
     for n in range(5):
-        for rows in pure.labeled_stream(n):
+        for rows in kernels.labeled_stream(n):
             from finspec.poset import Poset
             lattices.append(downset_lattice(Poset.from_up_rows(rows)))
     for lat in lattices:
@@ -150,7 +150,7 @@ def test_prime_ideals_match_subset_filter():
 def test_prime_ideal_routes_agree_when_distributive():
     from finspec.poset import Poset
     for n in range(5):
-        for rows in pure.labeled_stream(n):
+        for rows in kernels.labeled_stream(n):
             lat = downset_lattice(Poset.from_up_rows(rows))
             scan = sorted(ideal.mask for ideal in lat.prime_ideals())
             via_ji = sorted(ideal.mask
@@ -238,9 +238,9 @@ def _product_rel(left, right):
 
 
 def _table_cases():
-    'Orders as (n, rel): down-set lattices, then renumbered M3, N5 products.'
+    'Orders as (n, rel): down-set lattices, then M3, N5 products as built and renumbered.'
     for n in range(5):
-        for rows in pure.labeled_stream(n):
+        for rows in kernels.labeled_stream(n):
             lat = downset_lattice(Poset.from_up_rows(rows))
             yield lat.n, bf.rel_of_rows(lat.up)
     rng = random.Random(4)
@@ -248,6 +248,7 @@ def _table_cases():
         for chain in (chain_lattice(1), chain_lattice(2), chain_lattice(3)):
             rel = _product_rel(base, chain)
             size = base.n * chain.n
+            yield size, rel
             for _ in range(3):
                 perm = list(range(size))
                 rng.shuffle(perm)
@@ -275,7 +276,7 @@ def test_constructor_names_first_missing_bound():
     rng = random.Random(5)
     rejected = 0
     for k in range(5):
-        for rows in pure.labeled_stream(k):
+        for rows in kernels.labeled_stream(k):
             n = k + 2
             rel = {(i + 1, j + 1) for i, j in bf.rel_of_rows(rows)}
             rel |= {(0, x) for x in range(n)} | {(x, n - 1) for x in range(n)}

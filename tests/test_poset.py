@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from finspec import _bits_py as pure
+from finspec import kernels
 from finspec.errors import InputError, PreconditionError
 from finspec.fixtures import a2, antichain, chain_poset, c2, d4, l3, v3
 from finspec.poset import MonotoneMap, Poset, are_isomorphic
@@ -88,7 +88,7 @@ def test_patch_topology_trivializes():
     # the generated patch family is literally the powerset; the package
     # predicates must agree with that fixpoint computation everywhere
     for n in range(5):
-        for rows in pure.labeled_stream(n):
+        for rows in kernels.labeled_stream(n):
             p = Poset.from_up_rows(rows)
             family = bf.patch_family(rows)
             assert family == set(range(1 << n))
@@ -100,14 +100,14 @@ def test_patch_topology_trivializes():
 
 def test_constructible_algebra_trivializes():
     for n in range(5):
-        for rows in pure.labeled_stream(n):
+        for rows in kernels.labeled_stream(n):
             p = Poset.from_up_rows(rows)
             assert bf.constructible_family(rows) == set(range(1 << n))
             assert all(p.is_constructible_mask(s) for s in range(1 << n))
 
 
 def test_compactness_is_computed_from_patch_closure():
-    for rows in pure.labeled_stream(4):
+    for rows in kernels.labeled_stream(4):
         p = Poset.from_up_rows(rows)
         for s in range(1 << 4):
             assert p.is_compact_mask(s) == p.is_patch_closed_mask(
@@ -140,14 +140,14 @@ def test_structure_predicates_on_fixtures():
 
 
 def test_forest_and_root_autoduality():
-    for rows in pure.labeled_stream(4):
+    for rows in kernels.labeled_stream(4):
         p = Poset.from_up_rows(rows)
         assert p.is_root_system() == p.dual().is_forest()
         assert p.is_normal() == p.dual().is_inv_normal()
 
 
 def test_stranded_means_both_forest_and_root_plus_confluent_parts():
-    for rows in pure.labeled_stream(4):
+    for rows in kernels.labeled_stream(4):
         p = Poset.from_up_rows(rows)
         if p.is_stranded():
             assert p.is_forest() and p.is_root_system()
@@ -197,7 +197,7 @@ def test_monotone_map_checks():
 
 def test_canonical_agrees_with_permutation_search():
     reps = []
-    for rows in pure.labeled_stream(3):
+    for rows in kernels.labeled_stream(3):
         p = Poset.from_up_rows(rows)
         for q in reps:
             assert are_isomorphic(p, q) == bf.isomorphic_by_search(p.up, q.up)
@@ -205,7 +205,7 @@ def test_canonical_agrees_with_permutation_search():
 
 
 def test_canonical_is_idempotent():
-    for rows in pure.labeled_stream(4):
+    for rows in kernels.labeled_stream(4):
         p = Poset.from_up_rows(rows)
         c = p.canonical()
         assert c.canonical() == c

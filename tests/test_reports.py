@@ -2,7 +2,7 @@
 
 import pytest
 
-from finspec import _bits_py as pure
+from finspec import kernels
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import a2, antichain, c2, chain_poset, d4, l3, v3
 from finspec.poset import Poset, are_isomorphic
@@ -16,7 +16,7 @@ from finspec.reports import (PROFILE_FLAGS, THEOREMS, Condition,
 
 def each_poset(max_points):
     for n in range(max_points + 1):
-        for rows in pure.unlabeled_reps(n):
+        for rows in kernels.unlabeled_reps(n):
             yield Poset.from_up_rows(rows)
 
 
