@@ -17,9 +17,8 @@ Quick start::
 '''
 
 from .duality import (DOWNSET_CAP, ENVELOPE_MAX_POINTS, Isomorphism,
-                      boolean_envelope, d_map, downset_lattice, downset_masks,
-                      poset_roundtrip, qccl_lattice, spec_poset,
-                      stone_roundtrip, upset_masks)
+                      boolean_envelope, d_map, downset_lattice, poset_roundtrip,
+                      qccl_lattice, spec_poset, stone_roundtrip)
 from .enumeration import MAX_POINTS, count_posets, enumerate_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError, ToolkitError)
@@ -41,9 +40,9 @@ __all__ = [
     'Poset', 'PreconditionError', 'ResourceLimitError', 'StructureProfile',
     'SweepRow', 'SweepSummary', 'THEOREMS', 'ToolkitError', 'are_isomorphic',
     'backend', 'boolean_envelope', 'classify', 'collapse_report',
-    'count_posets', 'd_map', 'downset_lattice', 'downset_masks',
-    'enumerate_posets', 'generic_complement', 'heyting_report',
-    'pc_space_report', 'poset_roundtrip', 'qccl_lattice', 'qccl_stone_report',
+    'count_posets', 'd_map', 'downset_lattice', 'enumerate_posets',
+    'generic_complement', 'heyting_report', 'pc_space_report',
+    'poset_roundtrip', 'qccl_lattice', 'qccl_stone_report',
     'root_forest_report', 'spec_poset', 'stone_report', 'stone_roundtrip',
-    'sweep', 'theorem_report', 'upset_masks',
+    'sweep', 'theorem_report',
 ]

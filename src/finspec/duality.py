@@ -6,6 +6,10 @@ two trips compose to isomorphisms, and the round-trip operations verify
 that instead of assuming it: stone_roundtrip hands back None whenever
 the canonical comparison map fails to be an isomorphism.
 
+The up-set lattice (the closed constructible sets) is the down-set
+lattice of the order dual, so both come from the one cached builder and
+read their member masks from Poset, which also holds DOWNSET_CAP.
+
 Numbering is deterministic everywhere: down-sets, up-sets and prime
 ideals are sorted ascending by member mask, which is also a linear
 extension of inclusion.
@@ -17,9 +21,8 @@ from functools import lru_cache
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice
-from .poset import Poset
+from .poset import DOWNSET_CAP, Poset
 
-DOWNSET_CAP = 4096
 ENVELOPE_MAX_POINTS = 12
 
 
@@ -39,34 +42,22 @@ def _inclusion_lattice(masks):
 
 
 @lru_cache(maxsize=8192)
-def _downset_lattice_cached(poset, cap):
-    masks = kernels.downset_masks(poset.up, cap)
-    return _inclusion_lattice(masks), tuple(masks)
+def _downset_lattice_cached(poset):
+    return _inclusion_lattice(poset.downset_masks_all)
 
 
-def downset_lattice(poset, cap=DOWNSET_CAP):
-    'Lattice of down-sets ordered by inclusion; element i holds downset_masks(P)[i].'
-    return _downset_lattice_cached(poset, cap)[0]
+def downset_lattice(poset):
+    'Down-sets by inclusion; element i holds poset.downset_masks_all[i].'
+    return _downset_lattice_cached(poset)
 
 
-def downset_masks(poset, cap=DOWNSET_CAP):
-    'The member masks behind downset_lattice, in element order.'
-    return _downset_lattice_cached(poset, cap)[1]
-
-
-@lru_cache(maxsize=16)
-def qccl_lattice(poset, cap=DOWNSET_CAP):
+def qccl_lattice(poset):
     '''Lattice of up-sets (the closed constructible sets) ordered by inclusion.
 
-    Two reports of one poset ask for it back to back, so a few entries
-    are cache enough.
+    It is the down-set lattice of the dual, so it shares that cache;
+    element i holds poset.upset_masks_all[i].
     '''
-    masks = sorted(poset.full ^ d for d in kernels.downset_masks(poset.up, cap))
-    return _inclusion_lattice(masks)
-
-
-def upset_masks(poset, cap=DOWNSET_CAP):
-    return tuple(sorted(poset.full ^ d for d in kernels.downset_masks(poset.up, cap)))
+    return downset_lattice(poset.dual())
 
 
 def spec_poset(lattice):
@@ -127,8 +118,7 @@ def stone_roundtrip(lattice):
     primes = lattice.prime_ideals()
     spectrum = spec_poset(lattice)
     target = downset_lattice(spectrum)
-    masks = downset_masks(spectrum)
-    index = {mask: i for i, mask in enumerate(masks)}
+    index = {mask: i for i, mask in enumerate(spectrum.downset_masks_all)}
     forward = []
     for a in range(lattice.n):
         image = 0
@@ -164,5 +154,5 @@ def boolean_envelope(poset, max_points=ENVELOPE_MAX_POINTS):
         raise ResourceLimitError('boolean envelope capped at %d points' % max_points)
     masks = list(range(1 << poset.n))
     envelope = _inclusion_lattice(masks)
-    embedding = tuple(int(m) for m in downset_masks(poset))
+    embedding = poset.downset_masks_all
     return envelope, embedding

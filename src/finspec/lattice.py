@@ -6,7 +6,7 @@ and least upper bound; meet and join are then derived from the order, so
 there is a single source of truth.  Validation and the distributivity
 and Heyting checks build meet and join tables from the order per call
 and drop them on return; a Lattice never keeps them, which keeps the
-many lattices held by duality's caches small.  Absent
+many lattices held by duality's cache small.  Absent
 values (a pseudocomplement or implication that does not exist) come
 back as None, never as an error.
 '''

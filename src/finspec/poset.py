@@ -9,12 +9,19 @@ Points are 0..n-1 and the relation is held as immutable row bitmasks.
 Point sets cross the API as plain iterables of indices and come back as
 frozensets; mask-level twins of the hot operations are exposed with a
 _mask suffix for the report loops.
+
+Poset is the one owner of order-derived mask data: the down-set masks,
+the up-set masks (their complements) and DOWNSET_CAP, the bound on how
+many down-sets a poset may have.  Every lattice on down-sets or up-sets
+is built from these masks.
 '''
 
 from functools import cached_property
 
 from . import kernels
 from .errors import InputError, PreconditionError
+
+DOWNSET_CAP = 4096
 
 STRUCTURE_KINDS = ('root_system', 'forest', 'stranded', 'confluent',
                    'inv_normal', 'normal')
@@ -136,11 +143,19 @@ class Poset:
 
     @cached_property
     def minimal_mask(self):
-        return sum(1 << i for i in range(self.n) if self.down[i] == 1 << i)
+        return self.relative_min_mask(self.full)
 
     @cached_property
     def maximal_mask(self):
-        return sum(1 << i for i in range(self.n) if self.up[i] == 1 << i)
+        return self.relative_max_mask(self.full)
+
+    def relative_max_mask(self, mask):
+        'Maximal points of the subspace carried by mask.'
+        return _extremal_mask(self.up, mask)
+
+    def relative_min_mask(self, mask):
+        'Minimal points of the subspace carried by mask.'
+        return _extremal_mask(self.down, mask)
 
     def minimal_points(self):
         return self.set_of(self.minimal_mask)
@@ -345,14 +360,21 @@ class Poset:
 
     def induced(self, points):
         'Subposet on the given points plus the sorted carrier tuple.'
-        carrier = sorted(self.set_of(self.mask_of(points)))
+        carrier_mask = self.mask_of(points)
+        carrier = kernels.bit_indices(carrier_mask)
+        # bit of each carrier point in the subposet's numbering
+        position = [0] * self.n
+        for b, j in enumerate(carrier):
+            position[j] = 1 << b
         rows = []
-        for a, i in enumerate(carrier):
-            mask = 0
-            for b, j in enumerate(carrier):
-                if self.up[i] >> j & 1:
-                    mask |= 1 << b
-            rows.append(mask)
+        for i in carrier:
+            row = 0
+            rest = self.up[i] & carrier_mask
+            while rest:
+                low = rest & -rest
+                row |= position[low.bit_length() - 1]
+                rest ^= low
+            rows.append(row)
         return Poset.from_up_rows(rows), tuple(carrier)
 
     def min_point_map(self):
@@ -395,12 +417,12 @@ class Poset:
 
     @cached_property
     def downset_masks_all(self):
-        'Every down-set as a mask, ascending; capped at the module default.'
-        from .duality import DOWNSET_CAP
+        'Every down-set as a mask, ascending; more than DOWNSET_CAP raises.'
         return tuple(kernels.downset_masks(self.up, DOWNSET_CAP))
 
     @cached_property
     def upset_masks_all(self):
+        'Every up-set as a mask, ascending: the complements of the down-sets.'
         return tuple(sorted(self.full ^ d for d in self.downset_masks_all))
 
     @cached_property
@@ -415,6 +437,18 @@ class Poset:
         if not isinstance(other, Poset):
             raise InputError('isomorphic_to expects a Poset')
         return self.n == other.n and self.canonical_rows == other.canonical_rows
+
+
+def _extremal_mask(rows, mask):
+    'Points of mask whose row meets mask in the point alone.'
+    out = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1] & mask == low:
+            out |= low
+        rest ^= low
+    return out
 
 
 def are_isomorphic(first, second):

@@ -15,10 +15,10 @@ operators would surface as a disagreement rather than stay hidden.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import kernels
-from .duality import downset_lattice, qccl_lattice
+from .duality import ENVELOPE_MAX_POINTS, downset_lattice, qccl_lattice
 from .enumeration import enumerate_posets, count_posets
-from .errors import AgreementError, InputError, PreconditionError
+from .errors import (AgreementError, InputError, PreconditionError,
+                     ResourceLimitError)
 from .poset import MonotoneMap, Poset
 
 THEOREMS = ('pc-space', 'stone', 'qccl-stone', 'heyting', 'root-forest',
@@ -187,30 +187,21 @@ def qccl_stone_report(poset):
     ], witness=witness)
 
 
-def _subset_sample(poset):
-    'Every subset up to 6 points; a deterministic structured sample beyond.'
-    if poset.n <= 6:
-        return range(poset.full + 1)
-    picks = {0, poset.full}
-    picks.update(poset.downset_masks_all)
-    picks.update(poset.upset_masks_all)
-    for x in range(poset.n):
-        picks.add(1 << x)
-        picks.add(poset.full ^ 1 << x)
-        picks.add(poset.up[x] | poset.down[x])
-    return sorted(picks)
-
-
 @lru_cache(maxsize=65536)
 def heyting_report(poset):
     'The four readings of the Heyting property for the open-set lattice.'
+    # two readings scan the whole powerset, as boolean_envelope builds it,
+    # so they share its cap instead of hanging on a long chain
+    if poset.n > ENVELOPE_MAX_POINTS:
+        raise ResourceLimitError('heyting readings scan every subset; '
+                                 'capped at %d points' % ENVELOPE_MAX_POINTS)
     lattice = downset_lattice(poset)
     witness = None
 
     heyting_ok = lattice.is_heyting()
 
     closure_constructible = True
-    for s in _subset_sample(poset):
+    for s in range(poset.full + 1):
         if not poset.is_constructible_mask(s):
             continue
         if not poset.is_constructible_mask(poset.up_closure_mask(s)):
@@ -229,7 +220,7 @@ def heyting_report(poset):
 
     dual_poset = poset.dual()
     inverse_patch = True
-    for s in _subset_sample(poset):
+    for s in range(poset.full + 1):
         inv_closure = dual_poset.up_closure_mask(s)
         patch = poset.patch_closure_mask(poset.down_closure_mask(s))
         if inv_closure != patch:
@@ -262,7 +253,7 @@ def root_forest_report(poset):
 
     max_patch = True
     for d in poset.downset_masks_all:
-        sub_max = _relative_max(poset, d)
+        sub_max = poset.relative_max_mask(d)
         if not poset.is_patch_closed_mask(sub_max):
             max_patch = False
             witness = poset.set_of(d)
@@ -272,7 +263,7 @@ def root_forest_report(poset):
     # many (d, e) pairs meet in the same mask; each is checked once
     compact = set()
     for d in poset.downset_masks_all:
-        sub_max = _relative_max(poset, d)
+        sub_max = poset.relative_max_mask(d)
         for e in poset.downset_masks_all:
             meet = sub_max & e
             if meet in compact:
@@ -290,7 +281,7 @@ def root_forest_report(poset):
 
     min_compact = True
     for c in poset.upset_masks_all:
-        sub_min = _relative_min(poset, c)
+        sub_min = poset.relative_min_mask(c)
         if not poset.is_compact_mask(sub_min):
             min_compact = False
             if witness is None:
@@ -305,31 +296,6 @@ def root_forest_report(poset):
         ('forest_side.min_sets_compact', min_compact, 'forest_side'),
     ], hypotheses=[('root_side', root), ('forest_side', forest)],
         witness=witness)
-
-
-def _relative_max(poset, mask):
-    'Maximal points of the subspace carried by mask.'
-    out = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
-        if poset.up[x] & mask == low:
-            out |= low
-        rest ^= low
-    return out
-
-
-def _relative_min(poset, mask):
-    out = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
-        if poset.down[x] & mask == low:
-            out |= low
-        rest ^= low
-    return out
 
 
 @lru_cache(maxsize=65536)
@@ -431,8 +397,8 @@ def generic_complement(poset, points):
         return None
     if not poset.is_dense_mask(mask | v):
         return None
-    u_min = _relative_min(poset, mask)
-    v_min = _relative_min(poset, v)
+    u_min = poset.relative_min_mask(mask)
+    v_min = poset.relative_min_mask(v)
     if u_min & v_min or u_min | v_min != poset.minimal_mask:
         return None
     return poset.set_of(v)

@@ -7,7 +7,8 @@ import pytest
 
 from finspec.cli import main
 from finspec.fileio import poset_to_text
-from finspec.fixtures import antichain, v3
+from finspec.duality import ENVELOPE_MAX_POINTS
+from finspec.fixtures import antichain, chain_poset, v3
 from finspec.reports import PROFILE_FLAGS, classify
 
 
@@ -226,4 +227,10 @@ def test_resource_limits_exit_three(capsys, tmp_path):
     wide = tmp_path / 'wide.txt'
     wide.write_text(poset_to_text(antichain(14)), encoding='utf-8')
     code, _, err = run(capsys, 'downsets', str(wide))
+    assert code == 3 and 'resource limit' in err
+    # few down-sets, but the heyting readings scan all 2^n subsets
+    long = tmp_path / 'long.txt'
+    long.write_text(poset_to_text(chain_poset(ENVELOPE_MAX_POINTS + 1)),
+                    encoding='utf-8')
+    code, _, err = run(capsys, 'report', 'root-forest', str(long))
     assert code == 3 and 'resource limit' in err

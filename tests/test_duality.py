@@ -2,21 +2,22 @@
 
 import pytest
 
-from finspec import kernels
+from finspec import duality, kernels, reports
 from finspec.duality import (ENVELOPE_MAX_POINTS, Isomorphism,
                              boolean_envelope, d_map, downset_lattice,
-                             downset_masks, poset_roundtrip, qccl_lattice,
-                             spec_poset, stone_roundtrip, upset_masks)
+                             poset_roundtrip, qccl_lattice, spec_poset,
+                             stone_roundtrip)
 from finspec.errors import InputError, ResourceLimitError
 from finspec.fixtures import a2, antichain, bool_lattice, c2, chain_lattice, \
-    chain_poset, l3, m3, n5, v3
+    l3, m3, n5, v3
+from finspec.lattice import Lattice
 from finspec.poset import Poset, are_isomorphic
 
 
 def test_downset_lattice_of_v3():
     lat = downset_lattice(v3())
     assert lat.n == 5
-    assert downset_masks(v3()) == (0b000, 0b001, 0b010, 0b011, 0b111)
+    assert v3().downset_masks_all == (0b000, 0b001, 0b010, 0b011, 0b111)
     assert lat.label(3) == '{0,1}'
     assert lat.bottom == 0 and lat.top == 4
 
@@ -34,18 +35,43 @@ def test_qccl_is_dual_of_downsets():
             p = Poset.from_up_rows(rows)
             up = qccl_lattice(p)
             down = downset_lattice(p)
-            dmasks = downset_masks(p)
-            position = {m: i for i, m in enumerate(upset_masks(p))}
-            send = [position[p.full ^ m] for m in dmasks]
+            position = {m: i for i, m in enumerate(p.upset_masks_all)}
+            send = [position[p.full ^ m] for m in p.downset_masks_all]
             assert sorted(send) == list(range(up.n))
             for a in range(down.n):
                 for b in range(down.n):
                     assert down.leq(a, b) == up.leq(send[b], send[a])
 
 
+def test_qccl_lattice_is_the_dual_downset_lattice():
+    for n in range(6):
+        for rows in kernels.unlabeled_reps(n):
+            p = Poset.from_up_rows(rows)
+            assert qccl_lattice(p) is downset_lattice(p.dual())
+
+
+def test_labeled_sweep_builds_each_lattice_once(monkeypatch):
+    for fn in (reports.pc_space_report, reports.stone_report,
+               reports.qccl_stone_report, reports.heyting_report,
+               reports.root_forest_report, reports.collapse_report,
+               duality._downset_lattice_cached):
+        fn.cache_clear()
+    built = []
+    adopt = Lattice._adopt
+
+    def counting(self, *args):
+        adopt(self, *args)
+        built.append((self.up, self.labels))
+
+    monkeypatch.setattr(Lattice, '_adopt', counting)
+    reports.sweep(4, mode='labeled')
+    assert built
+    assert len(set(built)) == len(built)
+
+
 def test_upset_masks_complement_downset_masks():
     p = v3()
-    assert set(upset_masks(p)) == {p.full ^ d for d in downset_masks(p)}
+    assert set(p.upset_masks_all) == {p.full ^ d for d in p.downset_masks_all}
 
 
 def test_spec_of_downsets_recovers_the_poset():
@@ -152,9 +178,6 @@ def test_caps():
         downset_lattice(antichain(13))
     with pytest.raises(ResourceLimitError):
         boolean_envelope(antichain(ENVELOPE_MAX_POINTS + 1))
-    # a small cap override keeps the same error reachable sooner
-    with pytest.raises(ResourceLimitError):
-        downset_lattice(chain_poset(3), cap=2)
 
 
 def test_spec_numbering_is_by_ascending_member_mask():

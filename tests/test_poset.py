@@ -181,6 +181,25 @@ def test_induced_subposet():
     assert sub == antichain(2)
 
 
+def test_induced_and_relative_extrema_match_definitions():
+    for n in range(5):
+        for rows in kernels.labeled_stream(n):
+            p = Poset.from_up_rows(rows)
+            for mask in range(p.full + 1):
+                members = [i for i in range(n) if mask >> i & 1]
+                sub, carrier = p.induced(members)
+                assert carrier == tuple(members)
+                for a, i in enumerate(members):
+                    for b, j in enumerate(members):
+                        assert sub.leq(a, b) == p.leq(i, j)
+                assert p.relative_max_mask(mask) == sum(
+                    1 << i for i in members
+                    if not any(j != i and p.leq(i, j) for j in members))
+                assert p.relative_min_mask(mask) == sum(
+                    1 << i for i in members
+                    if not any(j != i and p.leq(j, i) for j in members))
+
+
 def test_monotone_map_checks():
     p, q = v3(), a2()
     with pytest.raises(InputError):
