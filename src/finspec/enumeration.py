@@ -3,27 +3,34 @@
 Labeled mode streams every partial order on {0..n-1} exactly once, in a
 fixed depth-first extension order.  Unlabeled mode yields one canonical
 representative per isomorphism class, ascending in the canonical key, so
-the delivered order never depends on how the work was split up.
+the delivered order never depends on how the work was split up.  Its
+levels grow by maximal points: every poset on n points is one on n - 1
+points plus a maximal point, so each class on n - 1 points is extended
+once per down-set and the results are deduplicated by canonical key.
+
+MAX_POINTS caps each mode.  Labeled mode stops at 6 points, since 7
+points already have 6,129,859 labeled orders; unlabeled mode reaches 8
+points (16,999 classes).
 '''
 
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .poset import Poset
 
-MAX_POINTS = 7
+MAX_POINTS = {'labeled': 6, 'unlabeled': 8}
 
 MODES = ('labeled', 'unlabeled')
 
 
 def _check_args(n, mode, max_points):
-    limit = MAX_POINTS if max_points is None else max_points
     if not isinstance(n, int) or n < 0:
         raise InputError('size must be a non-negative int, got %r' % (n,))
     if mode not in MODES:
         raise InputError('mode must be labeled or unlabeled, got %r' % (mode,))
+    limit = MAX_POINTS[mode] if max_points is None else max_points
     if n > limit:
-        raise ResourceLimitError('enumeration capped at %d points, asked for %d'
-                                 % (limit, n))
+        raise ResourceLimitError('%s enumeration capped at %d points, asked for %d'
+                                 % (mode, limit, n))
 
 
 def enumerate_posets(n, mode='unlabeled', max_points=None):

@@ -164,8 +164,15 @@ class Poset:
         return self.set_of(self.maximal_mask)
 
     def dual(self):
-        'Order dual, which is the inverse spectral space.'
-        return Poset.from_up_rows(self.down)
+        'Order dual, which is the inverse spectral space; one object per poset.'
+        return self._dual
+
+    @cached_property
+    def _dual(self):
+        dual = Poset.from_up_rows(self.down)
+        # the dual of the dual is this poset, whose rows are its down rows
+        dual.__dict__.update(_dual=self, down=self.up)
+        return dual
 
     def is_down_set_mask(self, mask):
         return self.down_closure_mask(mask) == mask

@@ -255,3 +255,49 @@ def first_distributivity_failure(meet, join):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return a, b, c
     return None
+
+
+def least_staircase_rows(rows):
+    '''Relabeling with the least staircase string, by scanning every permutation.
+
+    The string lists, for k = 0..n-1, whether each earlier point lies
+    below the k-th one and then whether the k-th lies below each earlier
+    one.  Returns the relabeled rows of the least string.
+    '''
+    n = len(rows)
+    rel = rel_of_rows(rows)
+    best = None
+    for perm in permutations(range(n)):
+        string = []
+        for k in range(n):
+            string += [(perm[u], perm[k]) in rel for u in range(k)]
+            string += [(perm[k], perm[u]) in rel for u in range(k)]
+        if best is None or string < best[0]:
+            best = (string, perm)
+    perm = best[1]
+    return rows_of_rel(n, {(i, j) for i in range(n) for j in range(n)
+                           if (perm[i], perm[j]) in rel})
+
+
+def reps_by_every_extension(n, key):
+    '''Class representatives on n points, grown by every one-point extension.
+
+    Each class on k points gains a point k above a set A and below a
+    disjoint set B, for every pair of subsets that keeps the relation
+    transitive; key canonicalizes the extended rows.  Ascending.
+    '''
+    level = {()}
+    for k in range(n):
+        grown = set()
+        for rows in level:
+            for a in subsets(k):
+                for b in subsets(k):
+                    if a & b:
+                        continue
+                    ext = [rows[i] | (1 << k if a >> i & 1 else 0)
+                           for i in range(k)] + [1 << k | b]
+                    if all(ext[j] & ~ext[i] == 0
+                           for i in range(k + 1) for j in members(ext[i])):
+                        grown.add(key(tuple(ext)))
+        level = grown
+    return tuple(sorted(level))

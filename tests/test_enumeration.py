@@ -22,7 +22,16 @@ def test_labeled_counts():
 
 
 def test_unlabeled_counts():
-    assert [count_posets(n) for n in range(7)] == [1, 1, 2, 5, 16, 63, 318]
+    # OEIS A000112 through 7 points
+    assert [count_posets(n) for n in range(8)] == [1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+def test_maximal_point_growth_matches_every_extension():
+    # growing by every one-point extension, not only by maximal points,
+    # yields the same representatives in the same order
+    for n in range(7):
+        assert kernels.unlabeled_reps(n) == bf.reps_by_every_extension(
+            n, kernels.canonical_key)
 
 
 def test_unlabeled_reps_are_canonical_and_sorted():
@@ -64,10 +73,13 @@ def test_orbit_sizes_sum_to_labeled_count():
 
 
 def test_caps_and_argument_validation():
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_posets(MAX_POINTS + 1))
-    with pytest.raises(ResourceLimitError):
-        count_posets(MAX_POINTS + 1)
+    assert MAX_POINTS == {'labeled': 6, 'unlabeled': 8}
+    for mode, cap in MAX_POINTS.items():
+        with pytest.raises(ResourceLimitError, match='%s enumeration capped at %d'
+                           % (mode, cap)):
+            list(enumerate_posets(cap + 1, mode))
+        with pytest.raises(ResourceLimitError):
+            count_posets(cap + 1, mode)
     with pytest.raises(ResourceLimitError):
         count_posets(4, max_points=3)
     assert count_posets(3, max_points=3) == 5

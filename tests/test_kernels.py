@@ -1,10 +1,14 @@
 '''Kernel correctness against oracles.'''
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from finspec import kernels
 from finspec.errors import ResourceLimitError
+from finspec.poset import Poset, are_isomorphic
 
 
 def test_transitive_closure_matches_pair_oracle():
@@ -142,3 +146,79 @@ def test_kernels_work_past_64_points():
     rows = [1 << i for i in range(70)]
     assert kernels.transitive_closure(rows) == rows
     assert len(kernels.canonical_key(rows)) == 70
+
+
+def _relabel(rows, perm):
+    'Rows of the same order with point i renamed perm[i].'
+    moved = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bf.members(row):
+            moved[perm[i]] |= 1 << perm[j]
+    return tuple(moved)
+
+
+def _disjoint_sum(*parts):
+    'Rows of the disjoint sum of the given row tuples, in order.'
+    out = []
+    for rows in parts:
+        shift = len(out)
+        out.extend(row << shift for row in rows)
+    return tuple(out)
+
+
+def _chain(length):
+    return tuple(((1 << length) - 1) ^ ((1 << i) - 1) for i in range(length))
+
+
+def _antichain(size):
+    return tuple(1 << i for i in range(size))
+
+
+@st.composite
+def _relabeled_orders(draw):
+    '''A partial order, or a sum of two or three equal copies of one, and
+    a relabeling of it; at most 12 points, where every such sum stays far
+    inside the search budget.'''
+    copies = draw(st.integers(1, 3))
+    size = draw(st.integers(0, (8, 5, 4)[copies - 1]))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)
+             if draw(st.booleans())]
+    part = bf.rows_of_rel(size, bf.closure_pairs(size, pairs))
+    rows = _disjoint_sum(*[part] * copies)
+    return rows, draw(st.permutations(range(len(rows))))
+
+
+@settings(deadline=None)
+@given(_relabeled_orders())
+def test_canonical_key_is_the_least_staircase_string(case):
+    rows, perm = case
+    key = kernels.canonical_key(rows)
+    assert kernels.canonical_key(_relabel(rows, perm)) == key
+    if len(rows) <= 5:
+        assert key == bf.least_staircase_rows(rows)
+
+
+def test_canonical_key_on_symmetric_sums():
+    # disjoint chains and antichain-plus-chain sums; each key is invariant
+    # under relabeling and is itself canonical
+    rng = random.Random(7)
+    cases = [_disjoint_sum(*[_chain(2)] * k) for k in range(1, 7)]
+    cases += [_disjoint_sum(*[_chain(3)] * k) for k in range(1, 5)]
+    cases += [_disjoint_sum(_antichain(a), _chain(c))
+              for a in (1, 4, 8) for c in (1, 3, 6)]
+    for rows in cases:
+        key = kernels.canonical_key(rows)
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        assert kernels.canonical_key(_relabel(rows, perm)) == key
+        assert kernels.canonical_key(key) == key
+        assert sorted(map(kernels.popcount, key)) == sorted(
+            map(kernels.popcount, rows))
+
+
+def test_canonical_search_budget():
+    # ten disjoint 2-chains need far more nodes than the budget allows
+    poset = Poset.from_up_rows(_disjoint_sum(*[_chain(2)] * 10))
+    with pytest.raises(ResourceLimitError,
+                       match='capped at %d nodes' % kernels.CANON_NODE_BUDGET):
+        are_isomorphic(poset, poset.dual())

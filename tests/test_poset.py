@@ -55,6 +55,9 @@ def test_dual_swaps_closures():
     assert q.down_closure({0}) == p.up_closure({0})
     assert q.minimal_points() == p.maximal_points()
     assert q.dual() == p
+    # one dual object per poset, and the dual of the dual is the poset
+    assert p.dual() is q and q.dual() is p
+    assert (q.up, q.down) == (p.down, p.up)
 
 
 def test_open_closed_aliases():
