@@ -97,6 +97,10 @@ def downset_masks(rows, cap=None):
 # the sweeps stay far inside it; input past it exits 3 instead of running
 # on for minutes.
 CANON_NODE_BUDGET = 100000
+# Most points canonical_key takes.  Its search recurses once per point,
+# so this stays well below the interpreter's default recursion limit of
+# 1000, with room for the callers' frames.
+CANON_MAX_POINTS = 512
 
 
 def canonical_key(rows):
@@ -127,7 +131,8 @@ def canonical_key(rows):
     also maps the subtree holding the best leaf onto the current one,
     so the search returns straight to the node where the two paths part.
 
-    The search visits at most CANON_NODE_BUDGET nodes and raises
+    Inputs of more than CANON_MAX_POINTS points raise ResourceLimitError
+    at once.  The search visits at most CANON_NODE_BUDGET nodes and raises
     ResourceLimitError past it.  Six disjoint 2-chains take 2,190 nodes
     (about 0.01 s), seven 14,143, and eight exceed the budget.  Ties the
     automorphisms cannot explain are still refuted one by one: a chain
@@ -137,6 +142,9 @@ def canonical_key(rows):
     n = len(rows)
     if n <= 1:
         return tuple(rows)
+    if n > CANON_MAX_POINTS:
+        raise ResourceLimitError('canonical form search capped at %d points (%d given)'
+                                 % (CANON_MAX_POINTS, n))
     cols = transpose(rows)
     sigs = [(rows[v] ^ 1 << v, cols[v] ^ 1 << v) for v in range(n)]
     # candidates with few points above tend to open minimal rows

@@ -1,10 +1,14 @@
 '''Cross-validation of the characterization theorems on concrete posets.
 
-Each report evaluates every condition of one equivalence independently
-and records the named verdicts; the agreement flag then says whether all
-conditions applicable under the stated hypotheses came out equal.  A
-disagreement on a correct implementation is impossible, which is exactly
-what the sweep checks by brute force.
+REGISTRY is the one table of theorems: per theorem, its hypotheses as
+(name, test) pairs and its readings as (label, group, reading) triples.
+A reading maps the poset and the theorem's lattice (open-set or
+closed-set) to (holds, witness); the witness names a culprit when the
+reading fails and can.  Every reading is computed on its own and never
+reads another's verdict; one that quotes a whole theorem calls its
+cached report.  The agreement flag says whether the readings applicable
+under the hypotheses came out equal, which the sweep checks by brute
+force.
 
 Several conditions are trivially true on a finite space (patch-closed
 sets, compactness, constructibility).  They are still computed from
@@ -12,33 +16,39 @@ their definitions, never constant-folded, so a bug in the underlying
 operators would surface as a disagreement rather than stay hidden.
 '''
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
+# _evaluate and theorem_report look these and the report functions up by
+# name at call time, so a wrapper bound over one of the names sees every call
 from .duality import ENVELOPE_MAX_POINTS, downset_lattice, qccl_lattice
 from .enumeration import enumerate_posets, count_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError)
+from .kernels import popcount
 from .poset import MonotoneMap, Poset
 
-THEOREMS = ('pc-space', 'stone', 'qccl-stone', 'heyting', 'root-forest',
-            'collapse-min', 'collapse-max')
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
+    "One reading's verdict, with the culprit it names when it fails."
     label: str
     holds: bool
     group: str = ''
+    witness: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
-    'Named verdicts of one theorem, with hypotheses and a failure witness.'
+    'Named verdicts of one theorem, with its hypotheses.'
     theorem: str
     conditions: tuple
     hypotheses: tuple = ()
-    witness: object = None
+
+    @property
+    def witness(self):
+        'The witness of the first condition, in order, that names one.'
+        return next((c.witness for c in self.conditions if c.witness is not None), None)
 
     @property
     def verdicts(self):
@@ -52,15 +62,11 @@ class ConditionReport:
     def hypothesis_satisfied(self):
         return all(holds for _, holds in self.hypotheses)
 
-    def _applicable(self):
-        hyp = self.hypothesis_map
-        return [c for c in self.conditions if hyp.get(c.group, True)]
-
     @property
     def agreement(self):
         'All conditions applicable under the hypotheses agree.'
-        values = {c.holds for c in self._applicable()}
-        return len(values) <= 1
+        hyp = self.hypothesis_map
+        return len({c.holds for c in self.conditions if hyp.get(c.group, True)}) <= 1
 
     @property
     def all_true(self):
@@ -73,118 +79,256 @@ class ConditionReport:
         raise InputError('no condition labeled %r in %s' % (label, self.theorem))
 
 
-def _build(theorem, entries, hypotheses=(), witness=None):
-    conditions = tuple(Condition(label, bool(holds), group)
-                       for label, holds, group in entries)
-    return ConditionReport(theorem, conditions, tuple(hypotheses), witness)
+# ----------------------------------------------------------------------
+# readings: each maps (poset, lattice) to (holds, witness)
+
+
+def _no_failure(poset, failures):
+    'Holds when failures yields no mask; else the first one, as a set, is the witness.'
+    for mask in failures:
+        return False, poset.set_of(mask)
+    return True, None
+
+
+def _quotes(theorem, dual=False):
+    'Reading "the report of theorem is all true", on the poset or its dual.'
+    def reading(poset, lattice):
+        return theorem_report(poset.dual() if dual else poset, theorem).all_true, None
+    return reading
+
+
+def lattice_stone(poset, lattice):
+    return lattice.is_stone(), None
+
+
+def normal_and_lattice_pc(poset, lattice):
+    return poset.is_normal() and lattice.is_pseudocomplemented(), None
+
+
+def closures_constructible(poset, lattice):
+    return _no_failure(poset, (
+        d for d in poset.downset_masks_all
+        if not poset.is_constructible_mask(poset.up_closure_mask(d))))
+
+
+def regularizations_compact_open(poset, lattice):
+    def compact_open(mask):
+        return poset.is_down_set_mask(mask) and poset.is_compact_mask(mask)
+    return _no_failure(poset, (d for d in poset.downset_masks_all
+                               if not compact_open(poset.regularize_mask(d))))
+
+
+def closures_open(poset, lattice):
+    return _no_failure(poset, (d for d in poset.downset_masks_all
+                               if not poset.is_down_set_mask(poset.up_closure_mask(d))))
+
+
+def confluent(poset, lattice):
+    witness = poset.confluence_witness()
+    return witness is None, witness
+
+
+def unique_min_below(poset, lattice):
+    if poset.is_inv_normal():
+        return True, None
+    return False, next((x for x in range(poset.n)
+                        if popcount(poset.down[x] & poset.minimal_mask) != 1), None)
+
+
+def min_map_spectral(poset, lattice):
+    assignment = poset.min_point_map()
+    if assignment is None:
+        return False, None
+    into = MonotoneMap(poset, poset, assignment)
+    return into.is_monotone() and into.is_continuous(), None
+
+
+def downclosures_open(poset, lattice):
+    return _no_failure(poset, (c for c in poset.upset_masks_all
+                               if not poset.is_down_set_mask(poset.down_closure_mask(c))))
+
+
+def downclosures_clopen(poset, lattice):
+    return _no_failure(poset, (c for c in poset.upset_masks_all
+                               if not poset.is_clopen_mask(poset.down_closure_mask(c))))
+
+
+def constructible_closures(poset, lattice):
+    return _no_failure(poset, (
+        s for s in range(poset.full + 1) if poset.is_constructible_mask(s)
+        and not poset.is_constructible_mask(poset.up_closure_mask(s))))
+
+
+def closed_subspaces_pc(poset, lattice):
+    return _no_failure(poset, (
+        c for c in poset.upset_masks_all
+        if not pc_space_report(poset.induced(poset.set_of(c))[0]).all_true))
+
+
+def inverse_closure_is_patch(poset, lattice):
+    dual = poset.dual()
+    return _no_failure(poset, (s for s in range(poset.full + 1)
+                               if dual.up_closure_mask(s)
+                               != poset.patch_closure_mask(poset.down_closure_mask(s))))
+
+
+def max_sets_patch_closed(poset, lattice):
+    return _no_failure(poset, (
+        d for d in poset.downset_masks_all
+        if not poset.is_patch_closed_mask(poset.relative_max_mask(d))))
+
+
+def max_meets_compact(poset, lattice):
+    # many (d, e) pairs meet in the same mask; each is checked once
+    compact = set()
+    for d in poset.downset_masks_all:
+        sub_max = poset.relative_max_mask(d)
+        for e in poset.downset_masks_all:
+            meet = sub_max & e
+            if meet in compact:
+                continue
+            if not poset.is_compact_mask(meet):
+                return False, (poset.set_of(d), poset.set_of(e))
+            compact.add(meet)
+    return True, None
+
+
+def min_sets_compact(poset, lattice):
+    return _no_failure(poset, (c for c in poset.upset_masks_all
+                               if not poset.is_compact_mask(poset.relative_min_mask(c))))
+
+
+def boolean_space(poset, lattice):
+    return all(poset.is_up_set_mask(d) for d in poset.downset_masks_all), None
 
 
 # ----------------------------------------------------------------------
-# single-theorem reports
+# the registry
+
+
+def _min_touches_max(poset):
+    'Every maximal point lies in the patch closure of the minimal ones.'
+    return poset.maximal_mask & ~poset.patch_closure_mask(poset.minimal_mask) == 0
+
+
+def _max_touches_min(poset):
+    'Every minimal point lies in the patch closure of the maximal ones.'
+    return poset.minimal_mask & ~poset.patch_closure_mask(poset.maximal_mask) == 0
+
+
+@dataclass(frozen=True)
+class Theorem:
+    '''One registry entry.  report names a cached report function of this
+    module, then its arguments after the poset; lattice names the builder
+    of the lattice every reading gets, or is None.'''
+    report: tuple
+    lattice: str | None
+    hypotheses: tuple
+    readings: tuple
+
+
+REGISTRY = {
+    'pc-space': Theorem(('pc_space_report',), 'downset_lattice', (), (
+        ('lattice_pseudocomplemented', '',
+         lambda poset, lattice: (lattice.is_pseudocomplemented(), None)),
+        ('closures_constructible', '', closures_constructible),
+        ('regularizations_compact_open', '', regularizations_compact_open),
+        ('min_points_compact', '',
+         lambda poset, lattice: (poset.is_compact_mask(poset.minimal_mask), None)),
+    )),
+    'stone': Theorem(('stone_report',), 'downset_lattice', (), (
+        ('lattice_stone', '', lattice_stone),
+        ('closures_open', '', closures_open),
+        ('confluent', '', confluent),
+        ('unique_min_below', '', unique_min_below),
+        ('min_map_spectral', '', min_map_spectral),
+        ('min_retraction', '',
+         lambda poset, lattice: (poset.retraction('to_min') is not None, None)),
+    )),
+    'qccl-stone': Theorem(('qccl_stone_report',), 'qccl_lattice', (), (
+        ('upset_lattice_stone', '', lattice_stone),
+        ('inverse_closures_clopen', '', downclosures_clopen),
+        ('normal_and_upset_lattice_pc', '', normal_and_lattice_pc),
+        ('normal_and_max_patch_closed', '', lambda poset, lattice: (
+            poset.is_normal() and poset.is_patch_closed_mask(poset.maximal_mask), None)),
+    )),
+    'heyting': Theorem(('heyting_report',), 'downset_lattice', (), (
+        ('lattice_heyting', '', lambda poset, lattice: (lattice.is_heyting(), None)),
+        ('constructible_closures', '', constructible_closures),
+        ('closed_subspaces_pc', '', closed_subspaces_pc),
+        ('inverse_closure_is_patch', '', inverse_closure_is_patch),
+    )),
+    'root-forest': Theorem(('root_forest_report',), None, (
+        ('root_side', lambda poset: poset.is_root_system()),
+        ('forest_side', lambda poset: poset.is_forest()),
+    ), (
+        ('root_side.inverse_esakia', 'root_side', _quotes('heyting', dual=True)),
+        ('root_side.max_sets_patch_closed', 'root_side', max_sets_patch_closed),
+        ('root_side.max_meets_compact', 'root_side', max_meets_compact),
+        ('forest_side.esakia', 'forest_side', _quotes('heyting')),
+        ('forest_side.min_sets_compact', 'forest_side', min_sets_compact),
+    )),
+    'collapse-min': Theorem(('collapse_report', 'min_side'), 'downset_lattice', (
+        ('collapse', _min_touches_max),
+    ), (
+        ('boolean_space', 'collapse', boolean_space),
+        ('downset_lattice_stone', 'collapse', lattice_stone),
+        ('esakia', 'collapse', _quotes('heyting')),
+        ('pc_space', 'collapse', _quotes('pc-space')),
+        ('min_points_patch_closed', 'collapse',
+         lambda poset, lattice: (poset.is_patch_closed_mask(poset.minimal_mask), None)),
+    )),
+    'collapse-max': Theorem(('collapse_report', 'max_side'), 'qccl_lattice', (
+        ('collapse', _max_touches_min),
+        ('rooted_collapse',
+         lambda poset: _max_touches_min(poset) and poset.is_root_system()),
+    ), (
+        ('boolean_space', 'collapse', boolean_space),
+        ('upset_lattice_stone', 'collapse', lattice_stone),
+        ('inverse_esakia', 'collapse', _quotes('heyting', dual=True)),
+        ('inverse_pc_space', 'collapse', _quotes('pc-space', dual=True)),
+        ('max_points_patch_closed', 'collapse',
+         lambda poset, lattice: (poset.is_patch_closed_mask(poset.maximal_mask), None)),
+        ('downclosures_open', 'rooted_collapse', downclosures_open),
+        ('downclosures_clopen', 'rooted_collapse', downclosures_clopen),
+    )),
+}
+
+THEOREMS = tuple(REGISTRY)
+
+
+def _evaluate(poset, theorem):
+    'Every hypothesis and reading of one registry entry, each on its own.'
+    entry = REGISTRY[theorem]
+    lattice = None if entry.lattice is None else globals()[entry.lattice](poset)
+    hypotheses = tuple((name, bool(test(poset))) for name, test in entry.hypotheses)
+    conditions = []
+    for label, group, reading in entry.readings:
+        holds, witness = reading(poset, lattice)
+        conditions.append(Condition(label, bool(holds), group, witness))
+    return ConditionReport(theorem, tuple(conditions), hypotheses)
+
+
+# ----------------------------------------------------------------------
+# cached reports, one per theorem
 
 
 @lru_cache(maxsize=65536)
 def pc_space_report(poset):
     'Pseudocomplementation of the open-set lattice, read four ways.'
-    lattice = downset_lattice(poset)
-    dsets = poset.downset_masks_all
-
-    lattice_ok = lattice.is_pseudocomplemented()
-
-    closures_ok, witness = True, None
-    for d in dsets:
-        if not poset.is_constructible_mask(poset.up_closure_mask(d)):
-            closures_ok, witness = False, poset.set_of(d)
-            break
-
-    regular_ok = True
-    for d in dsets:
-        reg = poset.regularize_mask(d)
-        if not (poset.is_down_set_mask(reg) and poset.is_compact_mask(reg)):
-            regular_ok = False
-            if witness is None:
-                witness = poset.set_of(d)
-            break
-
-    min_compact = poset.is_compact_mask(poset.minimal_mask)
-
-    return _build('pc-space', [
-        ('lattice_pseudocomplemented', lattice_ok, ''),
-        ('closures_constructible', closures_ok, ''),
-        ('regularizations_compact_open', regular_ok, ''),
-        ('min_points_compact', min_compact, ''),
-    ], witness=witness)
+    return _evaluate(poset, 'pc-space')
 
 
 @lru_cache(maxsize=65536)
 def stone_report(poset):
     'The six readings of the Stone property for the open-set lattice.'
-    lattice = downset_lattice(poset)
-    witness = None
-
-    stone_ok = lattice.is_stone()
-
-    closures_open = True
-    for d in poset.downset_masks_all:
-        if not poset.is_down_set_mask(poset.up_closure_mask(d)):
-            closures_open = False
-            witness = poset.set_of(d)
-            break
-
-    confl = poset.confluence_witness()
-    if confl is not None and witness is None:
-        witness = confl
-
-    unique_min = poset.is_inv_normal()
-    if not unique_min and witness is None:
-        for x in range(poset.n):
-            if bin(poset.down[x] & poset.minimal_mask).count('1') != 1:
-                witness = x
-                break
-
-    assignment = poset.min_point_map()
-    if assignment is None:
-        map_ok = False
-    else:
-        into = MonotoneMap(poset, poset, assignment)
-        map_ok = into.is_monotone() and into.is_continuous()
-
-    retract_ok = poset.retraction('to_min') is not None
-
-    return _build('stone', [
-        ('lattice_stone', stone_ok, ''),
-        ('closures_open', closures_open, ''),
-        ('confluent', confl is None, ''),
-        ('unique_min_below', unique_min, ''),
-        ('min_map_spectral', map_ok, ''),
-        ('min_retraction', retract_ok, ''),
-    ], witness=witness)
+    return _evaluate(poset, 'stone')
 
 
 @lru_cache(maxsize=65536)
 def qccl_stone_report(poset):
     'Stone property of the closed-set lattice; the mirror of stone_report.'
-    lattice = qccl_lattice(poset)
-    witness = None
-
-    stone_ok = lattice.is_stone()
-
-    inv_closures_clopen = True
-    for c in poset.upset_masks_all:
-        if not poset.is_clopen_mask(poset.down_closure_mask(c)):
-            inv_closures_clopen = False
-            witness = poset.set_of(c)
-            break
-
-    normal = poset.is_normal()
-
-    return _build('qccl-stone', [
-        ('upset_lattice_stone', stone_ok, ''),
-        ('inverse_closures_clopen', inv_closures_clopen, ''),
-        ('normal_and_upset_lattice_pc', normal and lattice.is_pseudocomplemented(), ''),
-        ('normal_and_max_patch_closed',
-         normal and poset.is_patch_closed_mask(poset.maximal_mask), ''),
-    ], witness=witness)
+    return _evaluate(poset, 'qccl-stone')
 
 
 @lru_cache(maxsize=65536)
@@ -195,46 +339,7 @@ def heyting_report(poset):
     if poset.n > ENVELOPE_MAX_POINTS:
         raise ResourceLimitError('heyting readings scan every subset; '
                                  'capped at %d points' % ENVELOPE_MAX_POINTS)
-    lattice = downset_lattice(poset)
-    witness = None
-
-    heyting_ok = lattice.is_heyting()
-
-    closure_constructible = True
-    for s in range(poset.full + 1):
-        if not poset.is_constructible_mask(s):
-            continue
-        if not poset.is_constructible_mask(poset.up_closure_mask(s)):
-            closure_constructible = False
-            witness = poset.set_of(s)
-            break
-
-    subspaces_pc = True
-    for c in poset.upset_masks_all:
-        sub, carrier = poset.induced(poset.set_of(c))
-        if not pc_space_report(sub).all_true:
-            subspaces_pc = False
-            if witness is None:
-                witness = frozenset(carrier)
-            break
-
-    dual_poset = poset.dual()
-    inverse_patch = True
-    for s in range(poset.full + 1):
-        inv_closure = dual_poset.up_closure_mask(s)
-        patch = poset.patch_closure_mask(poset.down_closure_mask(s))
-        if inv_closure != patch:
-            inverse_patch = False
-            if witness is None:
-                witness = poset.set_of(s)
-            break
-
-    return _build('heyting', [
-        ('lattice_heyting', heyting_ok, ''),
-        ('constructible_closures', closure_constructible, ''),
-        ('closed_subspaces_pc', subspaces_pc, ''),
-        ('inverse_closure_is_patch', inverse_patch, ''),
-    ], witness=witness)
+    return _evaluate(poset, 'heyting')
 
 
 @lru_cache(maxsize=65536)
@@ -245,57 +350,7 @@ def root_forest_report(poset):
     when every point has a chain below it; verdicts are still computed
     when a hypothesis fails, they just stop being asserted equal.
     '''
-    root = poset.is_root_system()
-    forest = poset.is_forest()
-    witness = None
-
-    inverse_esakia = heyting_report(poset.dual()).all_true
-
-    max_patch = True
-    for d in poset.downset_masks_all:
-        sub_max = poset.relative_max_mask(d)
-        if not poset.is_patch_closed_mask(sub_max):
-            max_patch = False
-            witness = poset.set_of(d)
-            break
-
-    max_meets_compact = True
-    # many (d, e) pairs meet in the same mask; each is checked once
-    compact = set()
-    for d in poset.downset_masks_all:
-        sub_max = poset.relative_max_mask(d)
-        for e in poset.downset_masks_all:
-            meet = sub_max & e
-            if meet in compact:
-                continue
-            if not poset.is_compact_mask(meet):
-                max_meets_compact = False
-                if witness is None:
-                    witness = (poset.set_of(d), poset.set_of(e))
-                break
-            compact.add(meet)
-        if not max_meets_compact:
-            break
-
-    esakia = heyting_report(poset).all_true
-
-    min_compact = True
-    for c in poset.upset_masks_all:
-        sub_min = poset.relative_min_mask(c)
-        if not poset.is_compact_mask(sub_min):
-            min_compact = False
-            if witness is None:
-                witness = poset.set_of(c)
-            break
-
-    return _build('root-forest', [
-        ('root_side.inverse_esakia', inverse_esakia, 'root_side'),
-        ('root_side.max_sets_patch_closed', max_patch, 'root_side'),
-        ('root_side.max_meets_compact', max_meets_compact, 'root_side'),
-        ('forest_side.esakia', esakia, 'forest_side'),
-        ('forest_side.min_sets_compact', min_compact, 'forest_side'),
-    ], hypotheses=[('root_side', root), ('forest_side', forest)],
-        witness=witness)
+    return _evaluate(poset, 'root-forest')
 
 
 @lru_cache(maxsize=65536)
@@ -310,72 +365,15 @@ def collapse_report(poset, direction):
     '''
     if direction not in ('min_side', 'max_side'):
         raise InputError('collapse direction must be min_side or max_side')
-
-    boolean_space = all(poset.is_up_set_mask(d) for d in poset.downset_masks_all)
-    witness = None
-
-    if direction == 'min_side':
-        touching = poset.patch_closure_mask(poset.minimal_mask) & poset.maximal_mask \
-            == poset.maximal_mask
-        entries = [
-            ('boolean_space', boolean_space, 'collapse'),
-            ('downset_lattice_stone', downset_lattice(poset).is_stone(), 'collapse'),
-            ('esakia', heyting_report(poset).all_true, 'collapse'),
-            ('pc_space', pc_space_report(poset).all_true, 'collapse'),
-            ('min_points_patch_closed',
-             poset.is_patch_closed_mask(poset.minimal_mask), 'collapse'),
-        ]
-        hypotheses = [('collapse', touching)]
-    else:
-        touching = poset.patch_closure_mask(poset.maximal_mask) & poset.minimal_mask \
-            == poset.minimal_mask
-        dual_poset = poset.dual()
-        down_open = True
-        down_clopen = True
-        for c in poset.upset_masks_all:
-            closed_down = poset.down_closure_mask(c)
-            if not poset.is_down_set_mask(closed_down):
-                down_open = False
-                if witness is None:
-                    witness = poset.set_of(c)
-            if not poset.is_clopen_mask(closed_down):
-                down_clopen = False
-                if witness is None:
-                    witness = poset.set_of(c)
-        entries = [
-            ('boolean_space', boolean_space, 'collapse'),
-            ('upset_lattice_stone', qccl_lattice(poset).is_stone(), 'collapse'),
-            ('inverse_esakia', heyting_report(dual_poset).all_true, 'collapse'),
-            ('inverse_pc_space', pc_space_report(dual_poset).all_true, 'collapse'),
-            ('max_points_patch_closed',
-             poset.is_patch_closed_mask(poset.maximal_mask), 'collapse'),
-            ('downclosures_open', down_open, 'rooted_collapse'),
-            ('downclosures_clopen', down_clopen, 'rooted_collapse'),
-        ]
-        hypotheses = [('collapse', touching),
-                      ('rooted_collapse', touching and poset.is_root_system())]
-
-    return _build('collapse-' + direction.split('_')[0], entries,
-                  hypotheses=hypotheses, witness=witness)
+    return _evaluate(poset, 'collapse-' + direction.split('_')[0])
 
 
 def theorem_report(poset, theorem):
-    'Dispatch a report by its public name.'
-    if theorem == 'pc-space':
-        return pc_space_report(poset)
-    if theorem == 'stone':
-        return stone_report(poset)
-    if theorem == 'qccl-stone':
-        return qccl_stone_report(poset)
-    if theorem == 'heyting':
-        return heyting_report(poset)
-    if theorem == 'root-forest':
-        return root_forest_report(poset)
-    if theorem == 'collapse-min':
-        return collapse_report(poset, 'min_side')
-    if theorem == 'collapse-max':
-        return collapse_report(poset, 'max_side')
-    raise InputError('unknown theorem %r; known: %s' % (theorem, ', '.join(THEOREMS)))
+    'The cached report of one theorem, by its public name.'
+    if theorem not in REGISTRY:
+        raise InputError('unknown theorem %r; known: %s' % (theorem, ', '.join(THEOREMS)))
+    name, *args = REGISTRY[theorem].report
+    return globals()[name](poset, *args)
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +405,6 @@ def generic_complement(poset, points):
 # ----------------------------------------------------------------------
 # classification and exhaustive sweeps
 
-PROFILE_FLAGS = ('boolean', 'heyting', 'stone', 'pseudocomplemented',
-                 'root_system', 'forest', 'stranded', 'confluent',
-                 'inv_normal', 'normal')
-
-
 @dataclass(frozen=True)
 class StructureProfile:
     'Lattice-side and order-side classification of one poset.'
@@ -429,6 +422,8 @@ class StructureProfile:
     def as_dict(self):
         return {flag: getattr(self, flag) for flag in PROFILE_FLAGS}
 
+
+PROFILE_FLAGS = tuple(field.name for field in fields(StructureProfile))
 
 def classify(poset):
     'Profile of the down-set lattice and the order shape, implications enforced.'

@@ -3,7 +3,9 @@
 finbench/tracing.py wraps finspec functions by attribute name.  A
 refactor that renames or moves one of them makes install() raise or
 leaves a span that never fires; this runs a traced sweep in a fresh
-process and checks both.
+process and checks both.  Every report must be reached through the
+attribute the tracer wraps, and the caches install() hands back must
+still report their counters.
 '''
 
 import json
@@ -18,13 +20,14 @@ import contextlib, io, json, sys
 sys.path[:0] = [%r, %r]
 import tracing
 tracer = tracing.Tracer()
-tracing.install(tracer)
+caches = tracing.install(tracer)
 from finspec import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(['sweep', '3', '--json'])
 totals = tracer.totals()
 print(json.dumps({'code': code,
-                  'calls': {name: row[0] for name, row in totals.items()}}))
+                  'calls': {name: row[0] for name, row in totals.items()},
+                  'caches': tracing.cache_counts(caches)}))
 ''' % (str(ROOT / 'finbench'), str(ROOT / 'src'))
 
 
@@ -37,3 +40,11 @@ def test_traced_sweep_counts_every_layer():
     for name in ('duality.qccl_lattice', 'duality.downset_lattice',
                  'lattice.construct', 'poset.induced'):
         assert got['calls'].get(name, 0) > 0, name
+    for theorem in ('pc-space', 'stone', 'qccl-stone', 'heyting', 'root-forest',
+                    'collapse-min', 'collapse-max'):
+        assert got['calls'].get('reports.' + theorem, 0) > 0, theorem
+    assert sorted(got['caches']) == [
+        'duality.downset_lattice.hits', 'duality.downset_lattice.misses',
+        'reports.cache.hits', 'reports.cache.misses']
+    assert got['caches']['reports.cache.hits'] > 0
+    assert got['caches']['reports.cache.misses'] > 0

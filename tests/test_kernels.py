@@ -222,3 +222,13 @@ def test_canonical_search_budget():
     with pytest.raises(ResourceLimitError,
                        match='capped at %d nodes' % kernels.CANON_NODE_BUDGET):
         are_isomorphic(poset, poset.dual())
+
+
+def test_canonical_search_point_cap():
+    # the search recurses once per point; past the cap it refuses up front
+    # instead of overflowing the interpreter's stack
+    assert len(kernels.canonical_key(_antichain(kernels.CANON_MAX_POINTS))) \
+        == kernels.CANON_MAX_POINTS
+    with pytest.raises(ResourceLimitError,
+                       match='capped at %d points' % kernels.CANON_MAX_POINTS):
+        are_isomorphic(Poset(1100), Poset(1100))

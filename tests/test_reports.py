@@ -1,12 +1,15 @@
 '''Report layer: frozen verdicts, hypothesis gating, sweeps.'''
 
+import dataclasses
+import pickle
+
 import pytest
 
-from finspec import kernels
+from finspec import cli, kernels
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import a2, antichain, c2, chain_poset, d4, l3, v3
 from finspec.poset import Poset, are_isomorphic
-from finspec.reports import (PROFILE_FLAGS, THEOREMS, Condition,
+from finspec.reports import (PROFILE_FLAGS, REGISTRY, THEOREMS, Condition,
                              ConditionReport, classify, collapse_report,
                              generic_complement, heyting_report,
                              pc_space_report, qccl_stone_report,
@@ -33,6 +36,29 @@ def test_stone_report_on_v3_all_false():
     }
     assert rep.agreement and not rep.all_true
     assert rep.witness == frozenset({0})
+
+
+def test_each_condition_carries_its_own_witness():
+    rep = stone_report(v3())
+    assert {c.label: c.witness for c in rep.conditions} == {
+        'lattice_stone': None,
+        'closures_open': frozenset({0}),
+        'confluent': (2, 0, 1),
+        'unique_min_below': 2,
+        'min_map_spectral': None,
+        'min_retraction': None,
+    }
+    # the report's witness is the first one in condition order
+    assert rep.witness == rep.conditions[1].witness
+    with pytest.raises(TypeError):
+        ConditionReport('demo', (), witness=0)
+
+
+def test_reports_survive_pickling():
+    rep = stone_report(v3())
+    again = pickle.loads(pickle.dumps(rep))
+    assert again == rep and again.witness == rep.witness
+    assert again.conditions[2] == Condition('confluent', False, '', (2, 0, 1))
 
 
 def test_stone_report_on_chain_all_true():
@@ -147,6 +173,9 @@ def test_generic_complement_properties():
 
 
 def test_classify_frozen_profiles():
+    assert PROFILE_FLAGS == ('boolean', 'heyting', 'stone', 'pseudocomplemented',
+                             'root_system', 'forest', 'stranded', 'confluent',
+                             'inv_normal', 'normal')
     assert classify(v3()).as_dict() == {
         'boolean': False, 'heyting': True, 'stone': False,
         'pseudocomplemented': True, 'root_system': True, 'forest': False,
@@ -202,3 +231,33 @@ def test_sweep_validates_arguments():
         sweep(3, mode='bogus')
     with pytest.raises(ResourceLimitError):
         sweep(99)
+
+
+def _clear_report_caches():
+    for fn in (pc_space_report, stone_report, qccl_stone_report, heyting_report,
+               root_forest_report, collapse_report):
+        fn.cache_clear()
+
+
+def test_flipped_reading_is_counted_as_a_disagreement(monkeypatch, capsys):
+    # stone has no hypotheses, so one negated reading breaks every poset
+    entry = REGISTRY['stone']
+    label, group, reading = entry.readings[2]
+
+    def negated(poset, lattice):
+        holds, witness = reading(poset, lattice)
+        return not holds, witness
+
+    readings = entry.readings[:2] + ((label, group, negated),) + entry.readings[3:]
+    monkeypatch.setitem(REGISTRY, 'stone', dataclasses.replace(entry, readings=readings))
+    _clear_report_caches()
+    try:
+        summary = sweep(3)
+        assert dict(summary.theorem_disagreements) == {
+            theorem: 9 if theorem == 'stone' else 0 for theorem in THEOREMS}
+        assert [row.disagreements for row in summary.rows] == [1, 1, 2, 5]
+        assert cli.main(['sweep', '3']) == 1
+        assert cli.main(['report', 'stone', 'v3']) == 1
+        assert 'agreement: NO' in capsys.readouterr().out
+    finally:
+        _clear_report_caches()
