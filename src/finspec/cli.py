@@ -1,7 +1,9 @@
 '''Command-line front end.
 
-Every subcommand takes either a file path or a built-in fixture name
-(v3, l3, c2, a2, d4, m3, n5, chain<k>, bool<k>).  Exit codes: 0 on
+Every subcommand takes either a file path or a built-in fixture name:
+the posets v3, l3, c2, a2 and d4, or the lattices m3, n5, chain<k> and
+bool<k>.  report, downsets and envelope take posets only; check,
+pc-table, spec and dot take either kind.  Exit codes: 0 on
 success, 1 when an agreement assertion fails, 2 on bad input, 3 when a
 resource cap is hit.  JSON output always carries "schema": 1.
 '''
@@ -35,7 +37,8 @@ def _resolve(source):
 
 def _need_poset(structure, subcommand):
     if not isinstance(structure, Poset):
-        raise InputError('%s works on a poset, not a lattice' % subcommand)
+        raise InputError('%s works on a poset, not a lattice (poset built-ins: %s)'
+                         % (subcommand, ', '.join(fixtures.POSETS)))
     return structure
 
 

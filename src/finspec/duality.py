@@ -30,7 +30,8 @@ def _set_label(mask):
     return '{%s}' % ','.join(str(i) for i in kernels.bit_indices(mask))
 
 
-def _inclusion_lattice(masks):
+def inclusion_lattice(masks):
+    'Sets under inclusion, element i being masks[i]; builds every lattice of sets.'
     rows = []
     for s in masks:
         row = 0
@@ -43,7 +44,7 @@ def _inclusion_lattice(masks):
 
 @lru_cache(maxsize=8192)
 def _downset_lattice_cached(poset):
-    return _inclusion_lattice(poset.downset_masks_all)
+    return inclusion_lattice(poset.downset_masks_all)
 
 
 def downset_lattice(poset):
@@ -143,16 +144,16 @@ def poset_roundtrip(poset):
     return poset.isomorphic_to(spec_poset(downset_lattice(poset)))
 
 
-def boolean_envelope(poset, max_points=ENVELOPE_MAX_POINTS):
+def boolean_envelope(poset):
     '''Powerset lattice of the carrier plus the down-set lattice embedding.
 
     At finite scale the enveloping Boolean algebra of the down-set
     lattice is the full powerset; the returned tuple maps down-set
     lattice elements to powerset elements.
     '''
-    if poset.n > max_points:
-        raise ResourceLimitError('boolean envelope capped at %d points' % max_points)
-    masks = list(range(1 << poset.n))
-    envelope = _inclusion_lattice(masks)
+    if poset.n > ENVELOPE_MAX_POINTS:
+        raise ResourceLimitError('boolean envelope capped at %d points'
+                                 % ENVELOPE_MAX_POINTS)
+    envelope = inclusion_lattice(range(1 << poset.n))
     embedding = poset.downset_masks_all
     return envelope, embedding

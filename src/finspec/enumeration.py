@@ -22,20 +22,20 @@ MAX_POINTS = {'labeled': 6, 'unlabeled': 8}
 MODES = ('labeled', 'unlabeled')
 
 
-def _check_args(n, mode, max_points):
+def check_args(n, mode):
+    "InputError for a bad size or mode, ResourceLimitError past the mode's cap."
     if not isinstance(n, int) or n < 0:
         raise InputError('size must be a non-negative int, got %r' % (n,))
     if mode not in MODES:
         raise InputError('mode must be labeled or unlabeled, got %r' % (mode,))
-    limit = MAX_POINTS[mode] if max_points is None else max_points
-    if n > limit:
+    if n > MAX_POINTS[mode]:
         raise ResourceLimitError('%s enumeration capped at %d points, asked for %d'
-                                 % (mode, limit, n))
+                                 % (mode, MAX_POINTS[mode], n))
 
 
-def enumerate_posets(n, mode='unlabeled', max_points=None):
+def enumerate_posets(n, mode='unlabeled'):
     'Stream the posets on n points, once per labeling or once per class.'
-    _check_args(n, mode, max_points)
+    check_args(n, mode)
     if mode == 'labeled':
         source = kernels.labeled_stream(n)
     else:
@@ -43,9 +43,9 @@ def enumerate_posets(n, mode='unlabeled', max_points=None):
     return (Poset.from_up_rows(rows) for rows in source)
 
 
-def count_posets(n, mode='unlabeled', max_points=None):
+def count_posets(n, mode='unlabeled'):
     'Number of posets the matching stream would deliver.'
-    _check_args(n, mode, max_points)
+    check_args(n, mode)
     if mode == 'labeled':
         return kernels.count_labeled(n)
     return len(kernels.unlabeled_reps(n))

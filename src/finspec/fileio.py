@@ -21,6 +21,8 @@ also declare the expected bounds::
 
 The declared bounds are checked against the ones derived from the
 order, so a stale header fails loudly instead of shifting meaning.
+A size above DOWNSET_CAP is refused as soon as it is read, before any
+point is built.
 
 JSON carries the same data with an explicit kind discriminator::
 
@@ -33,13 +35,19 @@ the usual way to draw a Hasse diagram.
 import json
 import re
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .lattice import Lattice
-from .poset import Poset
+from .poset import DOWNSET_CAP, Poset
 
 _HEADER = re.compile(r'^(poset|lattice)\s+(\d+)$')
 _PAIR = re.compile(r'^(\d+)\s*<\s*(\d+)$')
 _BOUND = re.compile(r'^(bottom|top)\s+(\d+)$')
+
+
+def _check_size(kind, size):
+    if size > DOWNSET_CAP:
+        raise ResourceLimitError('%s size capped at %d (DOWNSET_CAP), got %d'
+                                 % (kind, DOWNSET_CAP, size))
 
 
 def parse_text(text):
@@ -57,6 +65,7 @@ def parse_text(text):
             if kind is not None:
                 raise InputError('line %d: second header' % lineno)
             kind, size = m.group(1), int(m.group(2))
+            _check_size(kind, size)
             continue
         if kind is None:
             raise InputError('line %d: expected a "poset N" or "lattice N" '
@@ -113,6 +122,7 @@ def from_json_obj(obj):
     if kind not in ('poset', 'lattice'):
         raise InputError('json kind must be "poset" or "lattice", got %r' % kind)
     size = _require(obj, 'size', int)
+    _check_size(kind, size)
     raw_pairs = _require(obj, 'less_than', list)
     pairs = []
     for entry in raw_pairs:

@@ -3,11 +3,13 @@
 Poset fixtures: v3 (two minimal points under one top), l3 (one bottom
 under two maximal points), c2 (two-point chain), a2 (two-point
 antichain), d4 (diamond).  Lattice fixtures: m3 and n5, the two minimal
-non-distributive lattices, plus chain<k> and bool<k> families.
+non-distributive lattices, plus the chain<k> and bool<k> families, which
+are lattices too; chain_poset(k) has no built-in name.
 '''
 
 import re
 
+from .duality import inclusion_lattice
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice
 from .poset import Poset
@@ -67,23 +69,12 @@ def bool_lattice(k):
         raise InputError('bool lattice needs a non-negative atom count')
     if k > BOOL_MAX_ATOMS:
         raise ResourceLimitError('bool lattice capped at %d atoms' % BOOL_MAX_ATOMS)
-    size = 1 << k
-    rows = []
-    for s in range(size):
-        mask = 0
-        for t in range(size):
-            if s & ~t == 0:
-                mask |= 1 << t
-        rows.append(mask)
-    labels = ['{%s}' % ','.join(str(i) for i in range(k) if s >> i & 1)
-              for s in range(size)]
-    return Lattice.from_up_rows(rows, labels=labels)
+    return inclusion_lattice(range(1 << k))
 
 
-_PLAIN = {
-    'v3': v3, 'l3': l3, 'c2': c2, 'a2': a2, 'd4': d4,
-    'm3': m3, 'n5': n5,
-}
+# the poset built-ins; every other one, chain<k> included, is a lattice
+POSETS = {'v3': v3, 'l3': l3, 'c2': c2, 'a2': a2, 'd4': d4}
+_PLAIN = dict(POSETS, m3=m3, n5=n5)
 
 
 def builtin(name):

@@ -10,11 +10,12 @@ optional `pos` list of topological ranks.  When `pos` is None the element
 numbering itself must be a linear extension, which lets the unique-extremum
 search use bit_length() directly.
 
-Meet and join come from the order alone.  operation_tables builds both
-tables from the order; the distributivity and Heyting checks build them
-per call and drop them on return, so no table outlives its check.
+Meet and join come from the order alone.  operation_tables reads both
+off the order as flat n*n tables, entry a*n + b for the pair (a, b); the
+distributivity and Heyting checks take those tables as arguments.
 '''
 
+from array import array
 from functools import lru_cache
 
 from .errors import ResourceLimitError
@@ -375,14 +376,6 @@ def _set_min(mask, up, pos):
     return cand
 
 
-def meet_index(down, pos, a, b):
-    return _set_max(down[a] & down[b], down, pos)
-
-
-def join_index(up, pos, a, b):
-    return _set_min(up[a] & up[b], up, pos)
-
-
 def pseudocomplement_vector(down, pos, bottom):
     'Per element, the greatest disjoint partner, or -1 when absent.'
     n = len(down)
@@ -459,16 +452,20 @@ def prime_element_mask(down, pos):
 def operation_tables(down, up, pos):
     '''Meet and join tables read off the order, as (meet, join, None).
 
-    When some pair lacks a bound, returns (None, None, (a, b, kind))
-    instead, for the first pair a < b in row order, kind 'meet' or
-    'join'; a missing meet is reported before a missing join.
+    Each table is a flat array of n*n entries, meet(a, b) at a*n + b, with
+    typecode 'B' up to 256 elements and 'H' above.  When some pair lacks
+    a bound, returns (None, None, (a, b, kind)) instead, for the first
+    pair a < b in row order, kind 'meet' or 'join'; a missing meet is
+    reported before a missing join.
     '''
     n = len(down)
-    meet = [[a] * n for a in range(n)]
-    join = [[a] * n for a in range(n)]
+    code = 'B' if n <= 256 else 'H'
+    meet = array(code, [0]) * (n * n)
+    join = array(code, [0]) * (n * n)
     for a in range(n):
         da, ua = down[a], up[a]
-        meet_a, join_a = meet[a], join[a]
+        row = a * n
+        meet[row + a] = join[row + a] = a
         for b in range(a + 1, n):
             lower, upper = da & down[b], ua & up[b]
             if pos is None:
@@ -485,32 +482,24 @@ def operation_tables(down, up, pos):
                 return None, None, (a, b, 'meet')
             if j < 0 or up[j] != upper:
                 return None, None, (a, b, 'join')
-            meet_a[b] = meet[b][a] = m
-            join_a[b] = join[b][a] = j
+            meet[row + b] = meet[b * n + a] = m
+            join[row + b] = join[b * n + a] = j
     return meet, join, None
 
 
-def _tables(down, up, pos):
-    meet, join, missing = operation_tables(down, up, pos)
-    if missing is not None:
-        raise ValueError('not a lattice: %d and %d have no %s' % missing)
-    return meet, join
-
-
-def distributive_witness(down, up, pos):
+def distributive_witness(meet, join, n):
     '''First triple (a, b, c), c >= b, breaking meet-over-join distributivity.
 
     Tests a ^ (b v c) == (a ^ b) v (a ^ c) in the order a, then b, then
-    c from b up, on tables built for this call; None when every triple
-    holds.
+    c from b up; None when every triple holds.
     '''
-    meet, join = _tables(down, up, pos)
-    n = len(down)
+    # list rows index faster than array rows in the cubic loop below
+    joins = [join[x * n:x * n + n].tolist() for x in range(n)]
     for a in range(n):
-        meet_a = meet[a]
+        meet_a = meet[a * n:a * n + n].tolist()
         for b in range(n):
-            left = [meet_a[x] for x in join[b][b:]]
-            join_ab = join[meet_a[b]]
+            left = [meet_a[x] for x in joins[b][b:]]
+            join_ab = joins[meet_a[b]]
             right = [join_ab[y] for y in meet_a[b:]]
             if left != right:
                 for c in range(len(left)):
@@ -519,19 +508,18 @@ def distributive_witness(down, up, pos):
     return None
 
 
-def heyting_witness(down, up, pos):
+def heyting_witness(meet, down, pos):
     '''First pair (a, b) with no greatest x such that a ^ x <= b, or None.
 
     For each a the elements x are grouped by a ^ x; the candidates for
     a -> b are the union of the groups at or below b, and the implication
     exists when that set has a greatest element.
     '''
-    meet, _ = _tables(down, up, pos)
     n = len(down)
     below = [bit_indices(d) for d in down]
     for a in range(n):
         groups = [0] * n
-        for x, m in enumerate(meet[a]):
+        for x, m in enumerate(meet[a * n:a * n + n]):
             groups[m] |= 1 << x
         for b in range(n):
             cand = 0

@@ -2,20 +2,19 @@
 
 The constructor closes the relation, checks antisymmetry, locates bottom
 and top, and verifies that every pair of elements has a greatest lower
-and least upper bound; meet and join are then derived from the order, so
-there is a single source of truth.  Validation and the distributivity
-and Heyting checks build meet and join tables from the order per call
-and drop them on return; a Lattice never keeps them, which keeps the
-many lattices held by duality's cache small.  Absent
-values (a pseudocomplement or implication that does not exist) come
-back as None, never as an error.
+and least upper bound by building the meet and join tables from the
+order.  Those two tables are the single source of truth for meet and
+join: the lattice keeps them, and every operation and check reads them.
+A lattice has at most DOWNSET_CAP elements.  Absent values (a
+pseudocomplement or implication that does not exist) come back as None,
+never as an error.
 '''
 
 from functools import cached_property
 
 from . import kernels
-from .errors import InputError
-from .poset import Poset
+from .errors import InputError, ResourceLimitError
+from .poset import DOWNSET_CAP, Poset
 
 
 class Lattice:
@@ -38,6 +37,9 @@ class Lattice:
 
     def _adopt(self, order, bottom, top, labels):
         n = order.n
+        if n > DOWNSET_CAP:
+            raise ResourceLimitError('lattice capped at %d elements (DOWNSET_CAP), got %d'
+                                     % (DOWNSET_CAP, n))
         self.n = n
         self.up = order.up
         self.down = order.down
@@ -77,12 +79,13 @@ class Lattice:
                 pos[i] = rank
             self._pos = pos
 
-        _, _, missing = kernels.operation_tables(self.down, self.up, self._pos)
+        self._meet, self._join, missing = kernels.operation_tables(
+            self.down, self.up, self._pos)
         if missing is not None:
             raise InputError('not a lattice: %d and %d have no %s' % missing)
 
     def __reduce__(self):
-        return (_rebuild_lattice, (self.up, self.labels))
+        return (Lattice.from_up_rows, (self.up, self.labels))
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.up == other.up
@@ -102,8 +105,14 @@ class Lattice:
         return str(a) if self.labels is None else self.labels[a]
 
     def order_poset(self):
-        'The order reduct as a plain poset.'
-        return Poset.from_up_rows(self.up)
+        'The order reduct as a plain poset, built on first use.'
+        return self._order_poset
+
+    @cached_property
+    def _order_poset(self):
+        order = Poset.from_up_rows(self.up)
+        order.down = self.down  # shared, not transposed again
+        return order
 
     def leq(self, a, b):
         self._index(a)
@@ -113,16 +122,12 @@ class Lattice:
     def meet(self, a, b):
         self._index(a)
         self._index(b)
-        got = kernels.meet_index(self.down, self._pos, a, b)
-        assert got >= 0, 'validated lattice lost a meet'
-        return got
+        return self._meet[a * self.n + b]
 
     def join(self, a, b):
         self._index(a)
         self._index(b)
-        got = kernels.join_index(self.up, self._pos, a, b)
-        assert got >= 0, 'validated lattice lost a join'
-        return got
+        return self._join[a * self.n + b]
 
     def dual(self):
         'Order dual; swaps meet with join and bottom with top.'
@@ -133,7 +138,7 @@ class Lattice:
 
     @cached_property
     def _distributive_witness(self):
-        return kernels.distributive_witness(self.down, self.up, self._pos)
+        return kernels.distributive_witness(self._meet, self._join, self.n)
 
     def is_distributive(self):
         return self._distributive_witness is None
@@ -159,11 +164,8 @@ class Lattice:
         'Pseudocomplemented and every a* v a** reaches the top.'
         if not self.is_pseudocomplemented():
             return False
-        pc = self._pseudocomplements
-        for a in range(self.n):
-            if self.join(pc[a], pc[pc[a]]) != self.top:
-                return False
-        return True
+        pc, join, n = self._pseudocomplements, self._join, self.n
+        return all(join[pc[a] * n + pc[pc[a]]] == self.top for a in range(n))
 
     def implication(self, a, b):
         'Greatest x with meet(a, x) <= b, or None; the relative pseudocomplement.'
@@ -174,7 +176,7 @@ class Lattice:
 
     @cached_property
     def _heyting_witness(self):
-        return kernels.heyting_witness(self.down, self.up, self._pos)
+        return kernels.heyting_witness(self._meet, self.down, self._pos)
 
     def is_heyting(self):
         return self._heyting_witness is None
@@ -198,12 +200,13 @@ class Lattice:
 
     def join_irreducibles(self):
         'Non-bottom elements never obtained as a join of two smaller ones.'
+        join, n = self._join, self.n
         out = []
-        for j in range(self.n):
+        for j in range(n):
             if j == self.bottom:
                 continue
             strict = kernels.bit_indices(self.down[j] ^ 1 << j)
-            if all(self.join(a, b) != j for a in strict for b in strict):
+            if all(join[a * n + b] != j for a in strict for b in strict):
                 out.append(j)
         return out
 
@@ -247,11 +250,12 @@ class Lattice:
 
     def non_coprime_witness(self):
         'Pair of distinct minimal primes with no join reaching top, or None.'
+        join, n = self._join, self.n
         minimal = self.minimal_prime_ideals()
         for i in range(len(minimal)):
             for j in range(i + 1, len(minimal)):
                 first, second = minimal[i], minimal[j]
-                if not any(self.join(a, b) == self.top
+                if not any(join[a * n + b] == self.top
                            for a in first.members for b in second.members):
                     return first, second
         return None
@@ -271,9 +275,10 @@ class LatticeIdeal:
         if lattice.order_poset().down_closure_mask(mask) != mask:
             raise InputError('ideal members must be down-closed')
         idx = kernels.bit_indices(mask)
+        join, n = lattice._join, lattice.n
         for a in idx:
             for b in idx:
-                if not mask >> lattice.join(a, b) & 1:
+                if not mask >> join[a * n + b] & 1:
                     raise InputError('ideal members must be closed under join')
         self.lattice = lattice
         self.mask = mask
@@ -306,13 +311,10 @@ class LatticeIdeal:
         if not self.is_proper():
             return False
         lat = self.lattice
+        meet, n = lat._meet, lat.n
         outside = kernels.bit_indices(lat.full & ~self.mask)
         for a in outside:
             for b in outside:
-                if self.mask >> lat.meet(a, b) & 1:
+                if self.mask >> meet[a * n + b] & 1:
                     return False
         return True
-
-
-def _rebuild_lattice(rows, labels):
-    return Lattice.from_up_rows(rows, labels=labels)

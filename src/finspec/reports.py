@@ -22,7 +22,7 @@ from functools import lru_cache
 # _evaluate and theorem_report look these and the report functions up by
 # name at call time, so a wrapper bound over one of the names sees every call
 from .duality import ENVELOPE_MAX_POINTS, downset_lattice, qccl_lattice
-from .enumeration import enumerate_posets, count_posets
+from .enumeration import check_args, enumerate_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError)
 from .kernels import popcount
@@ -509,7 +509,7 @@ def sweep(max_points, mode='unlabeled', jobs=1):
     '''
     if not isinstance(jobs, int) or jobs < 1:
         raise InputError('jobs must be a positive int')
-    count_posets(max_points, mode)  # validates size and mode up front
+    check_args(max_points, mode)
     rows_out = []
     theorem_counts = {theorem: 0 for theorem in THEOREMS}
     firsts = {}

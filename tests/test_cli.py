@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from finspec.cli import main
 from finspec.fileio import poset_to_text
 from finspec.duality import ENVELOPE_MAX_POINTS
 from finspec.fixtures import antichain, chain_poset, v3
+from finspec.poset import DOWNSET_CAP
 from finspec.reports import PROFILE_FLAGS, classify
 
 
@@ -82,6 +84,20 @@ def test_report_rejects_lattice(capsys):
     code, out, err = run(capsys, 'report', 'stone', 'm3')
     assert code == 2 and out == ''
     assert 'report works on a poset, not a lattice' in err
+
+
+def test_chain_and_bool_builtins_are_lattices(capsys):
+    # poset-only subcommands refuse them and name the poset built-ins
+    for argv in (('report', 'stone', 'chain4'), ('downsets', 'bool2'),
+                 ('envelope', 'chain3')):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ''
+        assert ('%s works on a poset, not a lattice (poset built-ins: '
+                'v3, l3, c2, a2, d4)' % argv[0]) in err
+    for argv in (('check', 'chain4'), ('pc-table', 'bool2'), ('spec', 'chain4'),
+                 ('dot', 'bool2')):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == ''
 
 
 def test_pc_table(capsys):
@@ -219,6 +235,22 @@ def test_json_bool_for_int_exits_two(capsys, tmp_path, payload):
     code, out, err = run(capsys, 'check', str(target))
     assert code == 2 and out == ''
     assert 'wrong type' in err or 'pairs' in err
+
+
+@pytest.mark.parametrize('text', [
+    'poset 1000000000\n',
+    'lattice 1000000000\n0 < 1\n',
+    '{"kind": "poset", "size": 1000000000, "less_than": []}',
+    '{"kind": "lattice", "size": 1000000000, "less_than": [[0, 1]]}',
+], ids=['poset-header', 'lattice-header', 'poset-json', 'lattice-json'])
+def test_oversized_input_exits_three_at_once(capsys, tmp_path, text):
+    target = tmp_path / 'huge.txt'
+    target.write_text(text, encoding='utf-8')
+    start = time.perf_counter()
+    code, out, err = run(capsys, 'check', str(target))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ''
+    assert 'size capped at %d (DOWNSET_CAP), got 1000000000' % DOWNSET_CAP in err
 
 
 def test_resource_limits_exit_three(capsys, tmp_path):

@@ -163,6 +163,19 @@ def test_boolean_envelope_of_antichain_is_the_downset_lattice():
     assert are_isomorphic(envelope.order_poset(), lat.order_poset())
 
 
+def test_powersets_share_one_builder():
+    # bool<k>, the envelope of k points and the down-sets of a k-antichain
+    # are one powerset, with the same numbering and labels
+    for k in range(5):
+        built = [bool_lattice(k), boolean_envelope(antichain(k))[0],
+                 downset_lattice(antichain(k))]
+        for lat in built:
+            assert lat == built[0]
+            assert [lat.label(a) for a in range(lat.n)] == [
+                '{%s}' % ','.join(str(i) for i in range(k) if s >> i & 1)
+                for s in range(1 << k)]
+
+
 def test_envelope_bounds_preserved_everywhere():
     for n in range(5):
         for rows in kernels.unlabeled_reps(n):

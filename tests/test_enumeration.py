@@ -4,7 +4,7 @@ import pytest
 
 import bruteforce as bf
 from finspec import kernels
-from finspec.enumeration import MAX_POINTS, count_posets, enumerate_posets
+from finspec.enumeration import MAX_POINTS, check_args, count_posets, enumerate_posets
 from finspec.errors import InputError, ResourceLimitError
 from finspec.poset import Poset
 
@@ -80,13 +80,15 @@ def test_caps_and_argument_validation():
             list(enumerate_posets(cap + 1, mode))
         with pytest.raises(ResourceLimitError):
             count_posets(cap + 1, mode)
-    with pytest.raises(ResourceLimitError):
-        count_posets(4, max_points=3)
-    assert count_posets(3, max_points=3) == 5
+        with pytest.raises(ResourceLimitError):
+            check_args(cap + 1, mode)
+        check_args(cap, mode)
     with pytest.raises(InputError):
         count_posets(-1)
     with pytest.raises(InputError):
         count_posets(3, 'shuffled')
+    with pytest.raises(InputError):
+        check_args(3, 'shuffled')
 
 
 def test_streams_yield_posets():

@@ -93,7 +93,9 @@ def test_lattice_helper_values_on_diamond():
     assert kernels.pseudocomplement_vector(down, None, 0) == [3, 2, 1, 0]
     assert kernels.implication_index(down, None, 1, 2) == 2
     assert kernels.prime_element_mask(down, None) == 0b0110
-    assert kernels.distributive_witness(down, up, None) is None
+    meet, join, _ = kernels.operation_tables(down, up, None)
+    assert kernels.distributive_witness(meet, join, 4) is None
+    assert kernels.heyting_witness(meet, down, None) is None
 
 
 def test_operation_tables():
@@ -102,9 +104,18 @@ def test_operation_tables():
     up = [0b1111, 0b1010, 0b1100, 0b1000]
     meet, join, missing = kernels.operation_tables(down, up, None)
     assert missing is None
-    assert meet == [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
-    assert join == [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
+    # flat n*n tables, entry a*n + b
+    assert meet.tolist() == [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 2, 2, 0, 1, 2, 3]
+    assert join.tolist() == [0, 1, 2, 3, 1, 1, 3, 3, 2, 3, 2, 3, 3, 3, 3, 3]
     assert kernels.operation_tables(down, up, [0, 1, 2, 3]) == (meet, join, None)
+    # one byte per entry up to 256 elements, two bytes above
+    for k, code in ((256, 'B'), (257, 'H')):
+        chain_down = [(2 << i) - 1 for i in range(k)]
+        chain_up = [((1 << k) - 1) ^ ((1 << i) - 1) for i in range(k)]
+        meet, join, missing = kernels.operation_tables(chain_down, chain_up, None)
+        assert missing is None and meet.typecode == join.typecode == code
+        assert len(meet) == len(join) == k * k
+        assert (meet[(k - 1) * k + k - 2], join[(k - 1) * k + k - 2]) == (k - 2, k - 1)
     # 0 under 1 and 2: every meet exists, 1 and 2 have no join
     lam_down, lam_up = [0b001, 0b011, 0b101], [0b111, 0b010, 0b100]
     # 0 and 1 under 2: every join exists, 0 and 1 have no meet
@@ -137,7 +148,9 @@ def test_lattice_helpers_respect_rank_positions():
     for a in range(n):
         want[perm[a]] = perm[base_pc[a]]
     assert kernels.pseudocomplement_vector(down, pos, perm[0]) == want
-    assert kernels.distributive_witness(down, up, pos) is None
+    meet, join, _ = kernels.operation_tables(down, up, pos)
+    assert kernels.distributive_witness(meet, join, n) is None
+    assert kernels.heyting_witness(meet, down, pos) is None
     assert kernels.prime_element_mask(down, pos) == sum(
         1 << perm[i] for i in range(n) if kernels.prime_element_mask(base_down, None) >> i & 1)
 

@@ -6,12 +6,13 @@ import random
 import pytest
 
 import bruteforce as bf
-from finspec import kernels
-from finspec.duality import downset_lattice
-from finspec.errors import InputError
+from finspec import duality, kernels
+from finspec.duality import downset_lattice, inclusion_lattice
+from finspec.errors import InputError, ResourceLimitError
 from finspec.fixtures import bool_lattice, chain_lattice, l3, m3, n5, v3
 from finspec.lattice import Lattice, LatticeIdeal
-from finspec.poset import Poset
+from finspec.poset import DOWNSET_CAP, Poset
+from finspec.reports import classify
 
 
 def test_constructor_rejects_non_lattices():
@@ -179,6 +180,14 @@ def test_minimal_primes_and_coprimality():
     assert bool_lattice(2).minimal_primes_coprime()
 
 
+def test_lattice_size_cap():
+    # refused before any table is built; DOWNSET_CAP also keeps every
+    # table entry inside two bytes
+    with pytest.raises(ResourceLimitError, match='lattice capped at %d elements'
+                       % DOWNSET_CAP):
+        Lattice.from_up_rows([1] * (DOWNSET_CAP + 1))
+
+
 def test_m3_has_no_prime_ideals():
     assert m3().prime_ideals() == []
     assert m3().minimal_prime_ideals() == []
@@ -300,10 +309,36 @@ def test_constructor_names_first_missing_bound():
         Lattice(8, crown)
 
 
-def test_predicates_keep_no_operation_tables():
-    # the tables are built per check; a lattice keeps its order and verdicts
-    lat = downset_lattice(Poset(4))
+def test_lattice_keeps_its_operation_tables():
+    # a fresh down-set lattice, so no other test has filled its caches: it
+    # keeps its order, the two flat n*n tables its validation built, and
+    # the verdicts; the order poset is built only when asked for
+    lat = inclusion_lattice(Poset(4).downset_masks_all)
     assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
     assert sorted(vars(lat)) == [
-        '_distributive_witness', '_heyting_witness', '_pos', '_pseudocomplements',
-        'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
+        '_distributive_witness', '_heyting_witness', '_join', '_meet', '_pos',
+        '_pseudocomplements', 'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
+    assert len(lat._meet) == len(lat._join) == lat.n * lat.n == 256
+    assert lat._meet.typecode == lat._join.typecode == 'B'
+    order = lat.order_poset()
+    assert lat.order_poset() is order and order.down is lat.down
+    assert '_order_poset' in vars(lat)
+
+
+def test_one_table_build_per_lattice(monkeypatch):
+    # validation builds the tables; classify, is_stone, meet and join only
+    # read them (the parent built them three times: to validate, and again
+    # for the distributivity and the Heyting checks)
+    built = []
+    build = kernels.operation_tables
+    monkeypatch.setattr(kernels, 'operation_tables',
+                        lambda *args: built.append(args) or build(*args))
+    duality._downset_lattice_cached.cache_clear()
+    poset = Poset(4, [(0, 2), (1, 2), (1, 3)])
+    lat = downset_lattice(poset)
+    assert classify(poset).stone == lat.is_stone()
+    for a in range(lat.n):
+        for b in range(lat.n):
+            assert lat.leq(lat.meet(a, b), a) and lat.leq(a, lat.join(a, b))
+    assert downset_lattice(poset) is lat
+    assert len(built) == 1
