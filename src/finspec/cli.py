@@ -9,6 +9,7 @@ resource cap is hit.  JSON output always carries "schema": 1.
 '''
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,7 +226,9 @@ def _run_sweep(max_points, mode, jobs, as_json):
 # argument wiring
 
 
+@functools.lru_cache(maxsize=None)
 def _parser():
+    'The argument parser, built once per process: parse_args leaves it as it is.'
     parser = argparse.ArgumentParser(
         prog='finspec',
         description='Finite spectral spaces as posets: classification, '

@@ -50,6 +50,15 @@ def _check_size(kind, size):
                                  % (kind, DOWNSET_CAP, size))
 
 
+def _number(digits, lineno):
+    'The int a digit run spells; Python refuses to convert very long ones.'
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError('line %d: a %d-digit number is too long to read'
+                         % (lineno, len(digits))) from None
+
+
 def parse_text(text):
     'Parse the text format into a Poset or a Lattice, per its header.'
     kind = None
@@ -64,7 +73,7 @@ def parse_text(text):
         if m:
             if kind is not None:
                 raise InputError('line %d: second header' % lineno)
-            kind, size = m.group(1), int(m.group(2))
+            kind, size = m.group(1), _number(m.group(2), lineno)
             _check_size(kind, size)
             continue
         if kind is None:
@@ -72,7 +81,7 @@ def parse_text(text):
                              'header before %r' % (lineno, line))
         m = _PAIR.match(line)
         if m:
-            i, j = int(m.group(1)), int(m.group(2))
+            i, j = _number(m.group(1), lineno), _number(m.group(2), lineno)
             if not (i < size and j < size):
                 raise InputError('line %d: pair (%d, %d) out of range for '
                                  '%d points' % (lineno, i, j, size))
@@ -86,10 +95,11 @@ def parse_text(text):
             if m.group(1) in bounds:
                 raise InputError('line %d: duplicate %s declaration'
                                  % (lineno, m.group(1)))
-            if int(m.group(2)) >= size:
+            value = _number(m.group(2), lineno)
+            if value >= size:
                 raise InputError('line %d: %s %s out of range for %d points'
                                  % (lineno, m.group(1), m.group(2), size))
-            bounds[m.group(1)] = int(m.group(2))
+            bounds[m.group(1)] = value
             continue
         raise InputError('line %d: cannot parse %r' % (lineno, line))
     if kind is None:
@@ -147,7 +157,8 @@ def from_json_obj(obj):
 def parse_json(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number too long for int() to convert
         raise InputError('invalid json: %s' % exc) from None
     return from_json_obj(obj)
 

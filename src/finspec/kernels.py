@@ -13,6 +13,10 @@ search use bit_length() directly.
 Meet and join come from the order alone.  operation_tables reads both
 off the order as flat n*n tables, entry a*n + b for the pair (a, b); the
 distributivity and Heyting checks take those tables as arguments.
+distributive_witness scans one-byte tables a row at a time inside
+bytes.translate, a few C-level calls per row; its witness is still the
+first failing (a, b, c >= b), since both sides of the law are symmetric
+in b and c.  Two-byte tables (over 256 elements) take a Python loop.
 '''
 
 from array import array
@@ -490,9 +494,32 @@ def operation_tables(down, up, pos):
 def distributive_witness(meet, join, n):
     '''First triple (a, b, c), c >= b, breaking meet-over-join distributivity.
 
-    Tests a ^ (b v c) == (a ^ b) v (a ^ c) in the order a, then b, then
-    c from b up; None when every triple holds.
+    Tests a ^ (b v c) == (a ^ b) v (a ^ c) for every triple, in the
+    order a, then b, then c from b up; None when every triple holds.
+
+    Byte tables ('B', n <= 256) are scanned a row at a time inside
+    bytes.translate.  For a fixed a, translating the whole join table
+    through meet row a gives a ^ (b v c) at b*n + c, and translating meet
+    row a through join row a ^ b, for each b, gives (a ^ b) v (a ^ c) at
+    the same place; translate wants a 256-byte table, so each row is
+    padded with zeros.  Both sides are symmetric in b and c, so the first
+    row-major mismatch (b, c) has c >= b: a mismatch with c < b would
+    repeat at (c, b), earlier.  That is the triple the loop order above
+    finds first.  translate cannot map values above 255, so 'H' tables
+    take a Python loop over the same triples.
     '''
+    if meet.typecode == 'B':
+        pad = bytes(256 - n)
+        meets, joins = meet.tobytes(), join.tobytes()
+        join_rows = [joins[x * n:x * n + n] + pad for x in range(n)]
+        for a in range(n):
+            meet_a = meets[a * n:a * n + n]
+            left = joins.translate(meet_a + pad)
+            right = b''.join([meet_a.translate(join_rows[m]) for m in meet_a])
+            if left != right:
+                i = next(i for i in range(n * n) if left[i] != right[i])
+                return (a, *divmod(i, n))
+        return None
     # list rows index faster than array rows in the cubic loop below
     joins = [join[x * n:x * n + n].tolist() for x in range(n)]
     for a in range(n):

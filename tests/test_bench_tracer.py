@@ -38,7 +38,8 @@ def test_traced_sweep_counts_every_layer():
     got = json.loads(done.stdout)
     assert got['code'] == 0
     for name in ('duality.qccl_lattice', 'duality.downset_lattice',
-                 'lattice.construct', 'poset.induced'):
+                 'lattice.construct', 'poset.induced',
+                 'kernels.distributive_witness', 'lattice.is_distributive'):
         assert got['calls'].get(name, 0) > 0, name
     for theorem in ('pc-space', 'stone', 'qccl-stone', 'heyting', 'root-forest',
                     'collapse-min', 'collapse-max'):

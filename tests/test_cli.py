@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from finspec.cli import main
-from finspec.fileio import poset_to_text
-from finspec.duality import ENVELOPE_MAX_POINTS
+from finspec.fileio import lattice_to_text, poset_to_text
+from finspec.duality import ENVELOPE_MAX_POINTS, downset_lattice
 from finspec.fixtures import antichain, chain_poset, v3
 from finspec.poset import DOWNSET_CAP
 from finspec.reports import PROFILE_FLAGS, classify
@@ -201,6 +205,24 @@ def test_sweep_json_is_byte_identical_to_pinned_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_check_eight_point_antichain(capsys, tmp_path):
+    # 256 down-sets: the largest lattice on one-byte tables
+    points = tmp_path / 'a8.txt'
+    points.write_text(poset_to_text(antichain(8)), encoding='utf-8')
+    code, out, _ = run(capsys, 'check', str(points), '--json')
+    assert code == 0
+    profile = json.loads(out)['profile']
+    assert profile['boolean'] and profile['heyting'] and profile['stone']
+    lattice = tmp_path / 'd8.txt'
+    lattice.write_text(lattice_to_text(downset_lattice(antichain(8))),
+                       encoding='utf-8')
+    code, out, _ = run(capsys, 'check', str(lattice), '--json')
+    assert code == 0
+    payload = json.loads(out)
+    assert payload['size'] == 256
+    assert all(payload['profile'].values()), payload['profile']
+
+
 def test_resolution_prefers_files(capsys, tmp_path):
     target = tmp_path / 'v3'
     target.write_text('poset 1\n', encoding='utf-8')
@@ -238,6 +260,19 @@ def test_json_bool_for_int_exits_two(capsys, tmp_path, payload):
 
 
 @pytest.mark.parametrize('text', [
+    'poset 1%05000d\n' % 0,
+    'poset 2\n0 < 1%05000d\n' % 0,
+    '{"kind": "poset", "size": 1%05000d, "less_than": []}' % 0,
+], ids=['header', 'pair', 'json-size'])
+def test_numbers_too_long_to_convert_exit_two(capsys, tmp_path, text):
+    target = tmp_path / 'long.txt'
+    target.write_text(text, encoding='utf-8')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 2 and out == ''
+    assert err.startswith('finspec: error: ') and '5001' in err
+
+
+@pytest.mark.parametrize('text', [
     'poset 1000000000\n',
     'lattice 1000000000\n0 < 1\n',
     '{"kind": "poset", "size": 1000000000, "less_than": []}',
@@ -271,3 +306,42 @@ def test_resource_limits_exit_three(capsys, tmp_path):
     assert code == 3 and 'labeled enumeration capped at 6 points' in err
     code, _, err = run(capsys, 'sweep', '9')
     assert code == 3 and 'unlabeled enumeration capped at 8 points' in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / 'src')
+
+IN_ONE_PROCESS = '''
+import contextlib, io, json, sys
+sys.path.insert(0, %r)
+from finspec import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({'runs': runs, 'builds': cli._parser.cache_info().misses}))
+''' % SRC
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    argvs = [['check', 'v3', '--json'],
+             ['sweep', 'three'],
+             ['report', 'stone', 'v3'],
+             ['check', 'm3']]
+    alone = []
+    for argv in argvs:
+        done = subprocess.run([sys.executable, '-m', 'finspec.cli', *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        alone.append([done.returncode, done.stdout, done.stderr])
+    done = subprocess.run([sys.executable, '-c', IN_ONE_PROCESS, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    together = json.loads(done.stdout)
+    assert together['runs'] == alone
+    assert [code for code, _, _ in alone] == [0, 2, 0, 0]
+    assert together['builds'] == 1

@@ -102,6 +102,19 @@ def test_json_rejects_bools_for_ints():
         parse_json('{"kind": "lattice", "size": 2, "less_than": [[0, 1]], "top": true}')
 
 
+def test_numbers_too_long_to_convert_are_input_errors():
+    # int() refuses more than 4,300 digits; the parsers say so as bad input
+    digits = '1' + '0' * 5000
+    with pytest.raises(InputError, match='^line 1: a 5001-digit number is too long'):
+        parse_text('poset %s\n' % digits)
+    with pytest.raises(InputError, match='^line 2: a 5001-digit number is too long'):
+        parse_text('poset 2\n0 < %s\n' % digits)
+    with pytest.raises(InputError, match='^line 3: a 5001-digit number is too long'):
+        parse_text('lattice 2\n0 < 1\ntop %s\n' % digits)
+    with pytest.raises(InputError, match='^invalid json: .*5001 digits'):
+        parse_json('{"kind": "poset", "size": %s, "less_than": []}' % digits)
+
+
 def test_parse_sniffs_format():
     assert parse('  {"kind": "poset", "size": 1, "less_than": []}').n == 1
     assert parse('poset 1\n').n == 1

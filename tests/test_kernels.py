@@ -1,6 +1,7 @@
 '''Kernel correctness against oracles.'''
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 import bruteforce as bf
 from finspec import kernels
 from finspec.errors import ResourceLimitError
+from finspec.lattice import Lattice
 from finspec.poset import Poset, are_isomorphic
+from test_lattice import _table_cases
 
 
 def test_transitive_closure_matches_pair_oracle():
@@ -153,6 +156,21 @@ def test_lattice_helpers_respect_rank_positions():
     assert kernels.heyting_witness(meet, down, pos) is None
     assert kernels.prime_element_mask(down, pos) == sum(
         1 << perm[i] for i in range(n) if kernels.prime_element_mask(base_down, None) >> i & 1)
+
+
+def test_distributive_witness_on_byte_and_wide_tables():
+    # the 'B' tables take the translate scan, 'H' copies of the same tables
+    # the Python loop; both must name the oracle's first failing triple
+    failures = 0
+    for n, rel in _table_cases():
+        lat = Lattice(n, sorted(rel))
+        want = bf.first_distributivity_failure(*bf.bound_tables(n, rel))
+        failures += want is not None
+        assert lat._meet.typecode == 'B'
+        assert kernels.distributive_witness(lat._meet, lat._join, n) == want
+        wide = array('H', lat._meet), array('H', lat._join)
+        assert kernels.distributive_witness(*wide, n) == want
+    assert failures > 0
 
 
 def test_kernels_work_past_64_points():
