@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import fileio, fixtures, reports
+from . import enumeration, fileio, fixtures, reports
 from .duality import boolean_envelope, downset_lattice, spec_poset
 from .errors import (AgreementError, InputError, ResourceLimitError,
                      ToolkitError)
@@ -50,10 +50,6 @@ def _plain(value):
     if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
     return value
-
-
-def _emit(out, text):
-    out.write(text)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +258,7 @@ def _parser():
 
     p = sub.add_parser('sweep', help='exhaustive agreement sweep')
     p.add_argument('max_points', type=int)
-    p.add_argument('--mode', choices=('unlabeled', 'labeled'),
+    p.add_argument('--mode', choices=tuple(enumeration.STREAMS),
                    default='unlabeled')
     p.add_argument('--jobs', type=int, default=1)
     p.add_argument('--json', action='store_true')
@@ -306,7 +302,7 @@ def main(argv=None):
     except ToolkitError as exc:
         print('finspec: %s' % exc, file=sys.stderr)
         return 1
-    _emit(sys.stdout, text)
+    sys.stdout.write(text)
     return code
 
 

@@ -132,11 +132,10 @@ def stone_roundtrip(lattice):
     backward = [0] * target.n
     for a, b in enumerate(forward):
         backward[b] = a
-    for a in range(lattice.n):
-        for b in range(lattice.n):
-            if bool(lattice.up[a] >> b & 1) != bool(target.up[forward[a]] >> forward[b] & 1):
-                return None
-    return Isomorphism(lattice, target, tuple(forward), tuple(backward))
+    try:
+        return Isomorphism(lattice, target, tuple(forward), tuple(backward))
+    except InputError:
+        return None
 
 
 def poset_roundtrip(poset):

@@ -1,33 +1,39 @@
 '''Exhaustive generation of finite posets.
 
-Labeled mode streams every partial order on {0..n-1} exactly once, in a
-fixed depth-first extension order.  Unlabeled mode yields one canonical
-representative per isomorphism class, ascending in the canonical key, so
-the delivered order never depends on how the work was split up.  Its
-levels grow by maximal points: every poset on n points is one on n - 1
-points plus a maximal point, so each class on n - 1 points is extended
-once per down-set and the results are deduplicated by canonical key.
+STREAMS is the one table of enumeration modes: per mode, a generator of
+row tuples and the largest size it serves.  Labeled mode streams every
+partial order on {0..n-1} exactly once, in a fixed depth-first extension
+order.  Unlabeled mode yields one canonical representative per
+isomorphism class, ascending in the canonical key, so the delivered
+order never depends on how the work was split up.  Its levels grow by
+maximal points: every poset on n points is one on n - 1 points plus a
+maximal point, so each class on n - 1 points is extended once per
+down-set and the results are deduplicated by canonical key.
 
-MAX_POINTS caps each mode.  Labeled mode stops at 6 points, since 7
-points already have 6,129,859 labeled orders; unlabeled mode reaches 8
-points (16,999 classes).
+Labeled mode stops at 6 points, since 7 points already have 6,129,859
+labeled orders; unlabeled mode reaches 8 points (16,999 classes).
 '''
 
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .poset import Poset
 
-MAX_POINTS = {'labeled': 6, 'unlabeled': 8}
+# the generators look the kernels up at call time, so a wrapper bound
+# over kernels.labeled_stream or kernels.unlabeled_reps sees every call
+STREAMS = {
+    'labeled': (lambda n: kernels.labeled_stream(n), 6),
+    'unlabeled': (lambda n: kernels.unlabeled_reps(n), 8),
+}
 
-MODES = ('labeled', 'unlabeled')
+MAX_POINTS = {mode: cap for mode, (_, cap) in STREAMS.items()}
 
 
 def check_args(n, mode):
     "InputError for a bad size or mode, ResourceLimitError past the mode's cap."
     if not isinstance(n, int) or n < 0:
         raise InputError('size must be a non-negative int, got %r' % (n,))
-    if mode not in MODES:
-        raise InputError('mode must be labeled or unlabeled, got %r' % (mode,))
+    if mode not in STREAMS:
+        raise InputError('mode must be one of %s, got %r' % (', '.join(STREAMS), mode))
     if n > MAX_POINTS[mode]:
         raise ResourceLimitError('%s enumeration capped at %d points, asked for %d'
                                  % (mode, MAX_POINTS[mode], n))
@@ -36,16 +42,10 @@ def check_args(n, mode):
 def enumerate_posets(n, mode='unlabeled'):
     'Stream the posets on n points, once per labeling or once per class.'
     check_args(n, mode)
-    if mode == 'labeled':
-        source = kernels.labeled_stream(n)
-    else:
-        source = kernels.unlabeled_reps(n)
-    return (Poset.from_up_rows(rows) for rows in source)
+    return (Poset.from_up_rows(rows) for rows in STREAMS[mode][0](n))
 
 
 def count_posets(n, mode='unlabeled'):
-    'Number of posets the matching stream would deliver.'
+    'Number of posets the matching stream delivers, by draining it.'
     check_args(n, mode)
-    if mode == 'labeled':
-        return kernels.count_labeled(n)
-    return len(kernels.unlabeled_reps(n))
+    return sum(1 for _ in STREAMS[mode][0](n))

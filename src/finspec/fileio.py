@@ -157,8 +157,9 @@ def from_json_obj(obj):
 def parse_json(text):
     try:
         obj = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or a number too long for int() to convert
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a number too long for int() to convert, or
+        # nesting deeper than the interpreter's recursion limit
         raise InputError('invalid json: %s' % exc) from None
     return from_json_obj(obj)
 

@@ -318,22 +318,6 @@ def labeled_stream(n):
     yield from rec([])
 
 
-def count_labeled(n):
-    'Number of partial orders on 0..n-1, by the same recursion as the stream.'
-
-    def rec(rows):
-        if len(rows) == n - 1:
-            return sum(1 for _ in _extension_pairs(rows))
-        total = 0
-        for a_mask, b_mask in _extension_pairs(rows):
-            total += rec(_extend(rows, a_mask, b_mask))
-        return total
-
-    if n == 0:
-        return 1
-    return rec([])
-
-
 @lru_cache(maxsize=None)
 def unlabeled_reps(n):
     '''Canonical representative rows of every isomorphism class, ascending.

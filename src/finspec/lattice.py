@@ -4,8 +4,11 @@ The constructor closes the relation, checks antisymmetry, locates bottom
 and top, and verifies that every pair of elements has a greatest lower
 and least upper bound by building the meet and join tables from the
 order.  Those two tables are the single source of truth for meet and
-join: the lattice keeps them, and every operation and check reads them.
-A lattice has at most DOWNSET_CAP elements.  Absent values (a
+join: the lattice keeps them, and meet, join and the distributivity,
+Stone, Heyting and join-irreducible checks read them.  The
+pseudocomplements, implications, prime ideals and is_boolean read the
+order masks (down and up rows) instead, by their definitions in terms of
+the order.  A lattice has at most DOWNSET_CAP elements.  Absent values (a
 pseudocomplement or implication that does not exist) come back as None,
 never as an error.
 '''

@@ -23,9 +23,6 @@ from .errors import InputError, PreconditionError
 
 DOWNSET_CAP = 4096
 
-STRUCTURE_KINDS = ('root_system', 'forest', 'stranded', 'confluent',
-                   'inv_normal', 'normal')
-
 
 class Poset:
     'Immutable finite poset; accepts covering pairs or any relation pairs.'
@@ -356,11 +353,6 @@ class Poset:
         'Exactly one maximal point above every point.'
         return all(bin(self.up[x] & self.maximal_mask).count('1') == 1
                    for x in range(self.n))
-
-    def structure_predicate(self, kind):
-        if kind not in STRUCTURE_KINDS:
-            raise InputError('unknown structure predicate %r' % (kind,))
-        return getattr(self, 'is_' + kind)()
 
     # ------------------------------------------------------------------
     # subspaces, maps, retractions

@@ -26,7 +26,7 @@ from .enumeration import check_args, enumerate_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError)
 from .kernels import popcount
-from .poset import MonotoneMap, Poset
+from .poset import MonotoneMap
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,9 +448,8 @@ def classify(poset):
     return profile
 
 
-def _survey(rows):
+def _survey(poset):
     'Per-poset sweep payload: profile flags and per-theorem agreement.'
-    poset = Poset.from_up_rows(rows)
     profile = classify(poset)
     broken = []
     for theorem in THEOREMS:
@@ -519,11 +518,11 @@ def sweep(max_points, mode='unlabeled', jobs=1):
             import multiprocessing
             pool = multiprocessing.Pool(jobs)
         for n in range(max_points + 1):
-            all_rows = [poset.up for poset in enumerate_posets(n, mode)]
+            posets = list(enumerate_posets(n, mode))
             if pool is None:
-                results = [_survey(rows) for rows in all_rows]
+                results = [_survey(poset) for poset in posets]
             else:
-                results = pool.map(_survey, all_rows)
+                results = pool.map(_survey, posets)
             class_counts = {flag: 0 for flag in PROFILE_FLAGS}
             size_disagreements = 0
             for index, (flags, broken) in enumerate(results):
@@ -531,12 +530,12 @@ def sweep(max_points, mode='unlabeled', jobs=1):
                     if holds:
                         class_counts[flag] += 1
                     elif flag not in firsts:
-                        covers = Poset.from_up_rows(all_rows[index]).covers()
+                        covers = posets[index].covers()
                         firsts[flag] = FirstFailure(flag, n, index, tuple(covers))
                 for theorem in broken:
                     theorem_counts[theorem] += 1
                     size_disagreements += 1
-            rows_out.append(SweepRow(n, len(all_rows), size_disagreements,
+            rows_out.append(SweepRow(n, len(posets), size_disagreements,
                                      tuple(sorted(class_counts.items()))))
     finally:
         if pool is not None:

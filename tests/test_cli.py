@@ -13,6 +13,7 @@ import pytest
 from finspec.cli import main
 from finspec.fileio import lattice_to_text, poset_to_text
 from finspec.duality import ENVELOPE_MAX_POINTS, downset_lattice
+from finspec.enumeration import STREAMS
 from finspec.fixtures import antichain, chain_poset, v3
 from finspec.poset import DOWNSET_CAP
 from finspec.reports import PROFILE_FLAGS, classify
@@ -308,6 +309,16 @@ def test_resource_limits_exit_three(capsys, tmp_path):
     assert code == 3 and 'unlabeled enumeration capped at 8 points' in err
 
 
+def test_sweep_mode_outside_the_stream_table_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(['sweep', '3', '--mode', 'shuffled'])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'shuffled'" in err
+    for mode in STREAMS:
+        assert repr(mode) in err
+
+
 SRC = str(Path(__file__).resolve().parents[1] / 'src')
 
 IN_ONE_PROCESS = '''
@@ -345,3 +356,16 @@ def test_one_parser_serves_every_call_in_a_process():
     assert together['runs'] == alone
     assert [code for code, _, _ in alone] == [0, 2, 0, 0]
     assert together['builds'] == 1
+
+
+def test_deeply_nested_json_exits_two(tmp_path):
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    target = tmp_path / 'deep.json'
+    target.write_text('{"kind": ' + '[' * 100000 + ']' * 100000 + '}',
+                      encoding='utf-8')
+    done = subprocess.run([sys.executable, '-m', 'finspec.cli', 'check', str(target)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 2 and done.stdout == ''
+    assert done.stderr.startswith('finspec: error: invalid json')
+    assert 'Traceback' not in done.stderr

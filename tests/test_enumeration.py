@@ -1,10 +1,13 @@
 '''Enumeration counts against brute force, both modes.'''
 
+import re
+
 import pytest
 
 import bruteforce as bf
 from finspec import kernels
-from finspec.enumeration import MAX_POINTS, check_args, count_posets, enumerate_posets
+from finspec.enumeration import (MAX_POINTS, STREAMS, check_args, count_posets,
+                                 enumerate_posets)
 from finspec.errors import InputError, ResourceLimitError
 from finspec.poset import Poset
 
@@ -74,6 +77,7 @@ def test_orbit_sizes_sum_to_labeled_count():
 
 def test_caps_and_argument_validation():
     assert MAX_POINTS == {'labeled': 6, 'unlabeled': 8}
+    assert MAX_POINTS == {mode: cap for mode, (_, cap) in STREAMS.items()}
     for mode, cap in MAX_POINTS.items():
         with pytest.raises(ResourceLimitError, match='%s enumeration capped at %d'
                            % (mode, cap)):
@@ -87,8 +91,9 @@ def test_caps_and_argument_validation():
         count_posets(-1)
     with pytest.raises(InputError):
         count_posets(3, 'shuffled')
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         check_args(3, 'shuffled')
+    assert set(STREAMS) <= set(re.findall(r'\w+', str(exc.value)))
 
 
 def test_streams_yield_posets():

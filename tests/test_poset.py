@@ -137,9 +137,6 @@ def test_structure_predicates_on_fixtures():
     assert chain_poset(4).is_stranded()
     two_chains = Poset(4, [(0, 1), (2, 3)])
     assert two_chains.is_stranded()
-    assert not v3().structure_predicate('stranded')
-    with pytest.raises(InputError):
-        v3().structure_predicate('nonsense')
 
 
 def test_forest_and_root_autoduality():
