@@ -17,6 +17,18 @@ distributive_witness scans one-byte tables a row at a time inside
 bytes.translate, a few C-level calls per row; its witness is still the
 first failing (a, b, c >= b), since both sides of the law are symmetric
 in b and c.  Two-byte tables (over 256 elements) take a Python loop.
+
+heyting_witness reads the meet table and the order, never the join
+table.  The candidates for a -> b are C_b = {x : a ^ x <= b}, and
+C_b = C_{a ^ b}, because a ^ x <= b holds exactly when a ^ x <= a ^ b:
+that is what makes a ^ b the greatest lower bound, so the reduction is
+the definition of the meet, not distributivity.  Only the sets for
+b <= a are built, each from its group {x : a ^ x = b} and the sets of
+its lower covers, which lower_covers finds once per lattice.  A set is
+principal when its top candidate lies above all of it.
+
+subset_closures tabulates the up- or down-closure of all 2**n subsets,
+one OR per entry, for the readings that scan the powerset.
 '''
 
 from array import array
@@ -41,7 +53,7 @@ def bit_indices(mask):
 
 
 def popcount(mask):
-    return bin(mask).count('1')
+    return mask.bit_count()
 
 
 def transitive_closure(rows):
@@ -519,23 +531,72 @@ def distributive_witness(meet, join, n):
     return None
 
 
+def lower_covers(down):
+    'Per element, the indices of the elements it covers, ascending.'
+    out = []
+    for b, row in enumerate(down):
+        strict = row ^ 1 << b
+        covers = strict
+        rest = strict
+        while rest:
+            low = rest & -rest
+            # whatever lies strictly below a strict lower bound is no cover
+            covers &= ~(down[low.bit_length() - 1] ^ low)
+            rest ^= low
+        out.append(bit_indices(covers))
+    return out
+
+
+def subset_closures(rows):
+    '''Closure of every subset under rows, as a list of 2**n masks.
+
+    Entry s is the union of rows[i] over the bits i of s: the up-closure
+    of s for up rows, the down-closure for down rows.  The table grows
+    one row at a time, table += [m | row for m in table], so each entry
+    costs one OR.  It holds 2**n ints; callers keep it only while they
+    scan the powerset.
+    '''
+    table = [0]
+    for row in rows:
+        table += [m | row for m in table]
+    return table
+
+
 def heyting_witness(meet, down, pos):
     '''First pair (a, b) with no greatest x such that a ^ x <= b, or None.
 
-    For each a the elements x are grouped by a ^ x; the candidates for
-    a -> b are the union of the groups at or below b, and the implication
-    exists when that set has a greatest element.
+    The implication a -> b is the greatest element of the candidate set
+    C_b = {x : a ^ x <= b}.  Since a ^ x <= a, and a ^ x <= b holds
+    exactly when a ^ x <= a ^ b (a ^ b is the greatest lower bound of a
+    and b), C_b = C_{a ^ b}: that is the definition of the meet, not
+    distributivity, so only the sets for b <= a are built.  For each a
+    the elements x are grouped by a ^ x; walking the b <= a upwards, C_b
+    is the group of b together with C_c for every lower cover c of b.
+    The covers come from the order once per lattice.  C_b has a greatest
+    element exactly when its top candidate (highest bit, or highest rank
+    under pos) lies above all of C_b.  The witness is the first b in
+    index order whose a ^ b failed.  The join table is never read.
     '''
     n = len(down)
-    below = [bit_indices(d) for d in down]
+    covers = lower_covers(down)
+    bits = [1 << x for x in range(n)]
     for a in range(n):
-        groups = [0] * n
-        for x, m in enumerate(meet[a * n:a * n + n]):
-            groups[m] |= 1 << x
-        for b in range(n):
-            cand = 0
-            for m in below[b]:
-                cand |= groups[m]
-            if _set_max(cand, down, pos) < 0:
-                return a, b
+        row = meet[a * n:a * n + n]
+        cand = [0] * n
+        for m, bit in zip(row, bits):
+            cand[m] |= bit
+        below = bit_indices(down[a])
+        if pos is not None:
+            below.sort(key=pos.__getitem__)
+        failed = 0
+        # cand[b] holds the group of b until the walk reaches b, then C_b
+        for b in below:
+            c = cand[b]
+            for lower in covers[b]:
+                c |= cand[lower]
+            cand[b] = c
+            if _set_max(c, down, pos) < 0:
+                failed |= 1 << b
+        if failed:
+            return a, next(b for b in range(n) if failed >> row[b] & 1)
     return None

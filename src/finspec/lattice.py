@@ -76,7 +76,7 @@ class Lattice:
         # explicit ranks.
         self._pos = None
         if any(self.down[i] >> (i + 1) for i in range(n)):
-            by_rank = sorted(range(n), key=lambda i: (bin(self.down[i]).count('1'), i))
+            by_rank = sorted(range(n), key=lambda i: (kernels.popcount(self.down[i]), i))
             pos = [0] * n
             for rank, i in enumerate(by_rank):
                 pos[i] = rank

@@ -96,18 +96,9 @@ class Poset:
         return frozenset(kernels.bit_indices(mask))
 
     def covers(self):
-        'Covering pairs (i, j) with j immediately above i.'
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] ^ 1 << i
-            rest = strict
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                if strict & (self.down[j] ^ low) == 0:
-                    out.append((i, j))
-                rest ^= low
-        return out
+        'Covering pairs (i, j) with j immediately above i, ascending.'
+        below = kernels.lower_covers(self.down)
+        return sorted((i, j) for j in range(self.n) for i in below[j])
 
     # ------------------------------------------------------------------
     # closures, extremal points, topology
@@ -346,12 +337,12 @@ class Poset:
 
     def is_inv_normal(self):
         'Exactly one minimal point below every point.'
-        return all(bin(self.down[x] & self.minimal_mask).count('1') == 1
+        return all(kernels.popcount(self.down[x] & self.minimal_mask) == 1
                    for x in range(self.n))
 
     def is_normal(self):
         'Exactly one maximal point above every point.'
-        return all(bin(self.up[x] & self.maximal_mask).count('1') == 1
+        return all(kernels.popcount(self.up[x] & self.maximal_mask) == 1
                    for x in range(self.n))
 
     # ------------------------------------------------------------------
@@ -359,7 +350,9 @@ class Poset:
 
     def induced(self, points):
         'Subposet on the given points plus the sorted carrier tuple.'
-        carrier_mask = self.mask_of(points)
+        return self.induced_mask(self.mask_of(points))
+
+    def induced_mask(self, carrier_mask):
         carrier = kernels.bit_indices(carrier_mask)
         # bit of each carrier point in the subposet's numbering
         position = [0] * self.n

@@ -301,3 +301,49 @@ def reps_by_every_extension(n, key):
                         grown.add(key(tuple(ext)))
         level = grown
     return tuple(sorted(level))
+
+
+# ----------------------------------------------------------------------
+# the powerset readings of the Heyting theorem, by explicit set families
+
+
+def _least_member_above(family, mask):
+    'Intersection of every set of family that contains mask.'
+    out = -1
+    for t in family:
+        if mask & ~t == 0:
+            out &= t
+    return out
+
+
+def constructible_closures_by_scan(rows):
+    '''(holds, witness) of "every constructible set has a constructible
+    up-closure": the first failing subset as a frozenset, or None.'''
+    n = len(rows)
+    rel = rel_of_rows(rows)
+    family = constructible_family(rows)
+    for s in subsets(n):
+        closure = sum(1 << j for j in range(n)
+                      if any((i, j) in rel for i in members(s)))
+        if s in family and closure not in family:
+            return False, frozenset(members(s))
+    return True, None
+
+
+def inverse_closure_is_patch_by_scan(rows):
+    '''(holds, witness) of "the inverse-space closure of every subset is the
+    patch closure of its down-closure".
+
+    The inverse space's closed sets are the down-sets, so its closure is
+    the least down-set containing the subset; the patch closure is the
+    least complement of a patch-open set containing its argument.
+    '''
+    n = len(rows)
+    full = (1 << n) - 1
+    downsets = downsets_by_filter(rows)
+    patch_closed = [full ^ o for o in patch_family(rows)]
+    for s in subsets(n):
+        closure = _least_member_above(downsets, s)
+        if closure != _least_member_above(patch_closed, closure):
+            return False, frozenset(members(s))
+    return True, None

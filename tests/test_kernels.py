@@ -94,6 +94,31 @@ def test_labeled_stream_is_duplicate_free():
         assert len(set(stream)) == len(stream) == LABELED_COUNTS[n]
 
 
+def test_subset_closures_match_closure_masks():
+    posets = [Poset.from_up_rows(rows) for n in range(5)
+              for rows in kernels.labeled_stream(n)]
+    posets += [Poset.from_up_rows(rows) for n in range(7)
+               for rows in kernels.unlabeled_reps(n)]
+    for p in posets:
+        ups, downs = kernels.subset_closures(p.up), kernels.subset_closures(p.down)
+        assert len(ups) == len(downs) == 1 << p.n
+        for s in range(1 << p.n):
+            assert ups[s] == p.up_closure_mask(s)
+            assert downs[s] == p.down_closure_mask(s)
+
+
+def test_lower_covers_match_covering_pairs():
+    # i is covered by j when i < j and nothing lies strictly between them
+    for n in range(5):
+        for rows in kernels.labeled_stream(n):
+            rel = bf.rel_of_rows(rows)
+            want = [[i for i in range(n) if i != j and (i, j) in rel
+                     and not any((i, k) in rel and (k, j) in rel
+                                 for k in range(n) if k not in (i, j))]
+                    for j in range(n)]
+            assert kernels.lower_covers(Poset.from_up_rows(rows).down) == want
+
+
 def test_lattice_helper_values_on_diamond():
     # B2: bottom 0, atoms 1 and 2, top 3
     down = [0b0001, 0b0011, 0b0101, 0b1111]

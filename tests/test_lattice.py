@@ -279,6 +279,43 @@ def test_table_predicates_match_pair_scans():
     assert renumbered > 0  # the ranked-numbering path ran
 
 
+def _closure_system_cases(rng, count):
+    '''Orders as (n, rel): random intersection-closed families on up to 6
+    points plus the full set, ordered by inclusion, each as built and renumbered.'''
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        full = (1 << k) - 1
+        family = {full} | {rng.randrange(1 << k) for _ in range(rng.randint(1, 4 * k))}
+        while True:
+            grown = family | {s & t for s in family for t in family}
+            if grown == family:
+                break
+            family = grown
+        sets_ = sorted(family)
+        n = len(sets_)
+        rel = {(i, j) for i in range(n) for j in range(n) if sets_[i] & ~sets_[j] == 0}
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield n, rel
+        yield n, _renumbered(rel, perm)
+
+
+def test_heyting_witness_matches_scan_on_closure_systems():
+    # the kernel reads the meet table and the order; the scan tests every
+    # x for every pair, so the two share nothing but the lattice
+    failures = renumbered = 0
+    for n, rel in _closure_system_cases(random.Random(12), 150):
+        assert n <= 64
+        lat = Lattice(n, sorted(rel))
+        renumbered += lat._pos is not None
+        meets = bf.meet_table(lat)
+        missing = next(((a, b) for a in range(n) for b in range(n)
+                        if bf.implication_by_scan(lat, a, b, meets) is None), None)
+        failures += missing is not None
+        assert lat.heyting_witness() == missing
+    assert failures > 0 and renumbered > 0
+
+
 def test_constructor_names_first_missing_bound():
     # bounded orders: a fresh bottom and top around every labeled order on
     # up to 4 points, some renumbered; many of them are not lattices

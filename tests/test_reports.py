@@ -5,13 +5,15 @@ import pickle
 
 import pytest
 
+import bruteforce as bf
 from finspec import cli, kernels
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import a2, antichain, c2, chain_poset, d4, l3, v3
 from finspec.poset import Poset, are_isomorphic
 from finspec.reports import (PROFILE_FLAGS, REGISTRY, THEOREMS, Condition,
                              ConditionReport, classify, collapse_report,
-                             generic_complement, heyting_report,
+                             constructible_closures, generic_complement,
+                             heyting_report, inverse_closure_is_patch,
                              pc_space_report, qccl_stone_report,
                              root_forest_report, stone_report, sweep,
                              theorem_report)
@@ -84,6 +86,32 @@ def test_pc_and_heyting_always_true_small():
     for p in each_poset(4):
         assert pc_space_report(p).all_true
         assert heyting_report(p).all_true
+
+
+def test_powerset_readings_match_set_family_scans():
+    posets = [Poset.from_up_rows(rows) for n in range(5)
+              for rows in kernels.labeled_stream(n)]
+    posets += list(each_poset(6))
+    for p in posets:
+        for q in (p, p.dual()):
+            assert constructible_closures(q, None) == bf.constructible_closures_by_scan(q.up)
+            assert inverse_closure_is_patch(q, None) == \
+                bf.inverse_closure_is_patch_by_scan(q.up)
+
+
+def test_heyting_report_keeps_no_subset_tables():
+    # the powerset readings build their closure tables per call; the report
+    # cache keeps the poset alive, so a table kept on it would stay too
+    heyting_report.cache_clear()
+    p = chain_poset(7)
+    assert heyting_report(p).all_true
+    assert sorted(vars(p)) == ['_constructible_blocks', '_dual', 'down',
+                               'downset_masks_all', 'full', 'n', 'up',
+                               'upset_masks_all']
+    assert sorted(vars(p.dual())) == ['_dual', 'down', 'full', 'n', 'up']
+    for q in (p, p.dual()):
+        for value in vars(q).values():
+            assert not isinstance(value, (tuple, list)) or len(value) < 1 << p.n
 
 
 def test_collapse_gating_on_v3():
