@@ -123,8 +123,7 @@ def _run_pc_table(structure, source, as_json):
         lattice = structure
     labels = [lattice.label(a) for a in range(lattice.n)]
     pcs = [lattice.pseudocomplement(a) for a in range(lattice.n)]
-    imps = [[lattice.implication(a, b) for b in range(lattice.n)]
-            for a in range(lattice.n)]
+    imps = lattice.implication_table()
     if as_json:
         return 0, json.dumps({'schema': SCHEMA, 'command': 'pc-table',
                               'input': source, 'elements': labels,

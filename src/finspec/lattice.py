@@ -6,9 +6,12 @@ and least upper bound by building the meet and join tables from the
 order.  Those two tables are the single source of truth for meet and
 join: the lattice keeps them, and meet, join and the distributivity,
 Stone, Heyting and join-irreducible checks read them.  The
-pseudocomplements, implications, prime ideals and is_boolean read the
-order masks (down and up rows) instead, by their definitions in terms of
-the order.  A lattice has at most DOWNSET_CAP elements.  Absent values (a
+implications come from the candidate-set pass over the meet table that
+the Heyting check runs: the whole a -> b table is built in one pass the
+first time implication is asked for, and never on the verdict path.  The
+pseudocomplements, prime ideals and is_boolean read the order masks
+(down and up rows) instead, by their definitions in terms of the order.
+A lattice has at most DOWNSET_CAP elements.  Absent values (a
 pseudocomplement or implication that does not exist) come back as None,
 never as an error.
 '''
@@ -170,12 +173,23 @@ class Lattice:
         pc, join, n = self._pseudocomplements, self._join, self.n
         return all(join[pc[a] * n + pc[pc[a]]] == self.top for a in range(n))
 
+    @cached_property
+    def _implications(self):
+        return kernels.implication_index(self._meet, self.down, self._pos)
+
     def implication(self, a, b):
         'Greatest x with meet(a, x) <= b, or None; the relative pseudocomplement.'
         self._index(a)
         self._index(b)
-        got = kernels.implication_index(self.down, self._pos, a, b)
+        got = self._implications[a * self.n + b]
         return None if got < 0 else got
+
+    def implication_table(self):
+        'Rows of a -> b for every pair, None where the implication is absent.'
+        table, n = self._implications, self.n
+        # index -1 lands on the trailing None; the rows share these ints
+        value = list(range(n)) + [None]
+        return [[value[got] for got in table[a * n:a * n + n]] for a in range(n)]
 
     @cached_property
     def _heyting_witness(self):

@@ -211,6 +211,13 @@ def implication_by_scan(lattice, a, b, meets=None):
     return None
 
 
+def implication_table_by_scan(lattice):
+    'Rows of implication_by_scan over every pair (a, b), None where absent.'
+    meets = meet_table(lattice)
+    r = range(lattice.n)
+    return [[implication_by_scan(lattice, a, b, meets) for b in r] for a in r]
+
+
 # ----------------------------------------------------------------------
 # bound tables of a bare order, from pair sets alone
 

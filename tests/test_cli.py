@@ -122,6 +122,21 @@ def test_pc_table_shows_gaps(capsys):
     assert '* = -' in out
 
 
+def test_pc_table_on_256_elements(capsys):
+    # bool8 read off its labels: a -> b is (not a) | b and a* is not a, an
+    # O(n^2) check that shares nothing with the kernel
+    code, out, _ = run(capsys, 'pc-table', 'bool8', '--json')
+    assert code == 0
+    got = json.loads(out)
+    masks = [sum(1 << int(i) for i in label.strip('{}').split(',') if i)
+             for label in got['elements']]
+    index = {mask: i for i, mask in enumerate(masks)}
+    assert len(index) == 256
+    full = 255
+    assert got['pseudocomplement'] == [index[full & ~a] for a in masks]
+    assert got['implication'] == [[index[(full & ~a) | b] for b in masks] for a in masks]
+
+
 def test_spec_recovers_poset(capsys):
     code, out, _ = run(capsys, 'spec', 'v3')
     assert code == 0

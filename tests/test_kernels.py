@@ -124,9 +124,15 @@ def test_lattice_helper_values_on_diamond():
     down = [0b0001, 0b0011, 0b0101, 0b1111]
     up = [0b1111, 0b1010, 0b1100, 0b1000]
     assert kernels.pseudocomplement_vector(down, None, 0) == [3, 2, 1, 0]
-    assert kernels.implication_index(down, None, 1, 2) == 2
     assert kernels.prime_element_mask(down, None) == 0b0110
     meet, join, _ = kernels.operation_tables(down, up, None)
+    # flat n*n table, entry a*n + b holding a -> b: (not a) | b on two atoms
+    table = kernels.implication_index(meet, down, None)
+    assert table[1 * 4 + 2] == 2
+    assert table.tolist() == [3, 3, 3, 3,
+                              2, 3, 2, 3,
+                              1, 1, 3, 3,
+                              0, 1, 2, 3]
     assert kernels.distributive_witness(meet, join, 4) is None
     assert kernels.heyting_witness(meet, down, None) is None
 

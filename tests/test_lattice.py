@@ -6,13 +6,13 @@ import random
 import pytest
 
 import bruteforce as bf
-from finspec import duality, kernels
+from finspec import cli, duality, kernels
 from finspec.duality import downset_lattice, inclusion_lattice
 from finspec.errors import InputError, ResourceLimitError
-from finspec.fixtures import bool_lattice, chain_lattice, l3, m3, n5, v3
+from finspec.fixtures import bool_lattice, chain_lattice, d4, l3, m3, n5, v3
 from finspec.lattice import Lattice, LatticeIdeal
 from finspec.poset import DOWNSET_CAP, Poset
-from finspec.reports import classify
+from finspec.reports import classify, heyting_report, pc_space_report, stone_report
 
 
 def test_constructor_rejects_non_lattices():
@@ -247,13 +247,14 @@ def _product_rel(left, right):
 
 
 def _table_cases():
-    'Orders as (n, rel): down-set lattices, then M3, N5 products as built and renumbered.'
+    '''Orders as (n, rel): down-set lattices, then M3, N5 and B2 products as
+    built and renumbered; the B2 ones are the renumbered Heyting cases.'''
     for n in range(5):
         for rows in kernels.labeled_stream(n):
             lat = downset_lattice(Poset.from_up_rows(rows))
             yield lat.n, bf.rel_of_rows(lat.up)
     rng = random.Random(4)
-    for base in (m3(), n5()):
+    for base in (m3(), n5(), bool_lattice(2)):
         for chain in (chain_lattice(1), chain_lattice(2), chain_lattice(3)):
             rel = _product_rel(base, chain)
             size = base.n * chain.n
@@ -264,19 +265,30 @@ def _table_cases():
                 yield size, _renumbered(rel, perm)
 
 
+def _assert_implications_match_scan(lat):
+    '''Every a -> b equals the pair scan, and the Heyting witness is the
+    first gap of the implication table in row-major order.'''
+    n = lat.n
+    want = bf.implication_table_by_scan(lat)
+    assert [[lat.implication(a, b) for b in range(n)] for a in range(n)] == want
+    assert lat.implication_table() == want
+    first_gap = next((divmod(i, n) for i, got in enumerate(lat._implications)
+                      if got < 0), None)
+    assert lat.heyting_witness() == first_gap
+    assert lat.is_heyting() == (first_gap is None)
+
+
 def test_table_predicates_match_pair_scans():
-    renumbered = 0
+    renumbered_kinds = set()
     for n, rel in _table_cases():
         lat = Lattice(n, sorted(rel))
-        renumbered += lat._pos is not None
+        if lat._pos is not None:
+            renumbered_kinds.add(lat.is_heyting())
         meet, join = bf.bound_tables(n, rel)
         assert lat.distributivity_witness() == bf.first_distributivity_failure(meet, join)
-        meets = bf.meet_table(lat)
-        missing = [(a, b) for a in range(n) for b in range(n)
-                   if bf.implication_by_scan(lat, a, b, meets) is None]
-        assert lat.is_heyting() == (missing == [])
-        assert lat.heyting_witness() == (missing[0] if missing else None)
-    assert renumbered > 0  # the ranked-numbering path ran
+        _assert_implications_match_scan(lat)
+    # the ranked-numbering path ran on Heyting lattices and on others
+    assert renumbered_kinds == {True, False}
 
 
 def _closure_system_cases(rng, count):
@@ -303,17 +315,16 @@ def _closure_system_cases(rng, count):
 def test_heyting_witness_matches_scan_on_closure_systems():
     # the kernel reads the meet table and the order; the scan tests every
     # x for every pair, so the two share nothing but the lattice
-    failures = renumbered = 0
+    failures = 0
+    renumbered_kinds = set()
     for n, rel in _closure_system_cases(random.Random(12), 150):
         assert n <= 64
         lat = Lattice(n, sorted(rel))
-        renumbered += lat._pos is not None
-        meets = bf.meet_table(lat)
-        missing = next(((a, b) for a in range(n) for b in range(n)
-                        if bf.implication_by_scan(lat, a, b, meets) is None), None)
-        failures += missing is not None
-        assert lat.heyting_witness() == missing
-    assert failures > 0 and renumbered > 0
+        failures += not lat.is_heyting()
+        if lat._pos is not None:
+            renumbered_kinds.add(lat.is_heyting())
+        _assert_implications_match_scan(lat)
+    assert failures > 0 and renumbered_kinds == {True, False}
 
 
 def test_constructor_names_first_missing_bound():
@@ -352,11 +363,17 @@ def test_lattice_keeps_its_operation_tables():
     # the verdicts; the order poset is built only when asked for
     lat = inclusion_lattice(Poset(4).downset_masks_all)
     assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
-    assert sorted(vars(lat)) == [
+    assert lat.is_pseudocomplemented() and lat.is_boolean()
+    verdicts = [
         '_distributive_witness', '_heyting_witness', '_join', '_meet', '_pos',
         '_pseudocomplements', 'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
+    assert sorted(vars(lat)) == verdicts
     assert len(lat._meet) == len(lat._join) == lat.n * lat.n == 256
     assert lat._meet.typecode == lat._join.typecode == 'B'
+    # the implication table is built by the first implication call only
+    assert lat.implication(1, 2) == 2 + 4 + 8
+    assert sorted(vars(lat)) == sorted(verdicts + ['_implications'])
+    assert len(lat._implications) == 256
     order = lat.order_poset()
     assert lat.order_poset() is order and order.down is lat.down
     assert '_order_poset' in vars(lat)
@@ -379,3 +396,51 @@ def test_one_table_build_per_lattice(monkeypatch):
             assert lat.leq(lat.meet(a, b), a) and lat.leq(a, lat.join(a, b))
     assert downset_lattice(poset) is lat
     assert len(built) == 1
+
+
+def test_one_implication_pass_per_lattice(monkeypatch, capsys):
+    # pc-table and all n*n implication calls read one table built by one
+    # kernel call (the parent called the kernel once per pair)
+    built = []
+    build = kernels.implication_index
+    monkeypatch.setattr(kernels, 'implication_index',
+                        lambda *args: built.append(args) or build(*args))
+    assert cli.main(['pc-table', 'm3', '--json']) == 0
+    assert '"implication"' in capsys.readouterr().out
+    assert len(built) == 1
+    lat = m3()
+    for a in range(lat.n):
+        for b in range(lat.n):
+            lat.implication(a, b)
+    assert len(built) == 2
+
+
+def test_verdicts_never_build_the_implication_table(monkeypatch):
+    # the pc-space, Stone and Heyting readings stand on their own: none of
+    # them may go through the implication table
+    def refuse(*args):
+        raise AssertionError('implication table built on the verdict path')
+
+    monkeypatch.setattr(kernels, 'implication_index', refuse)
+    reports = (pc_space_report, stone_report, heyting_report)
+    duality._downset_lattice_cached.cache_clear()
+    for report in reports:
+        report.cache_clear()
+    try:
+        for poset in (v3(), l3(), d4(), Poset(3), Poset(4, [(0, 2), (1, 2), (1, 3)])):
+            profile = classify(poset)
+            lat = downset_lattice(poset)
+            assert lat.is_pseudocomplemented() == profile.pseudocomplemented
+            assert lat.is_stone() == profile.stone
+            assert lat.is_heyting() == profile.heyting
+            for report in reports:
+                assert report(poset).agreement
+        # (pseudocomplemented, Stone, Heyting)
+        for lat, want in ((m3(), (False, False, False)), (n5(), (True, True, False)),
+                          (bool_lattice(3), (True, True, True)),
+                          (chain_lattice(4), (True, True, True))):
+            assert (lat.is_pseudocomplemented(), lat.is_stone(), lat.is_heyting()) == want
+    finally:
+        duality._downset_lattice_cached.cache_clear()
+        for report in reports:
+            report.cache_clear()
