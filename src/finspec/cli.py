@@ -221,17 +221,38 @@ def _run_sweep(max_points, mode, jobs, as_json):
 # argument wiring
 
 
+def _formatter(prog):
+    '''argparse's help formatter at the width it would pick itself.
+
+    The stock formatter asks shutil.get_terminal_size, and importing
+    shutil (with bz2, lzma and fnmatch behind it) was most of the cost of
+    building the parser.  This reads the same columns the same way:
+    COLUMNS, else the size of the terminal on stdout, else 80; minus 2.
+    '''
+    try:
+        columns = int(os.environ['COLUMNS'])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser():
     'The argument parser, built once per process: parse_args leaves it as it is.'
     parser = argparse.ArgumentParser(
         prog='finspec',
         description='Finite spectral spaces as posets: classification, '
-                    'theorem cross-checks, duality, and sweeps.')
+                    'theorem cross-checks, duality, and sweeps.',
+        formatter_class=_formatter)
     sub = parser.add_subparsers(dest='subcommand', required=True)
 
     def add(name, help_text, with_input=True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_formatter)
         if with_input:
             p.add_argument('input',
                            help='file path or built-in name (v3, m3, chain4...)')
@@ -240,7 +261,7 @@ def _parser():
     p = add('check', 'classification profile of a poset or lattice')
     p.add_argument('--json', action='store_true')
 
-    p = sub.add_parser('report', help='one cross-validation report')
+    p = add('report', 'one cross-validation report', with_input=False)
     p.add_argument('theorem', choices=reports.THEOREMS)
     p.add_argument('input')
     p.add_argument('--json', action='store_true')
@@ -255,7 +276,7 @@ def _parser():
         p.add_argument('--json', action='store_true')
         p.add_argument('--dot', action='store_true')
 
-    p = sub.add_parser('sweep', help='exhaustive agreement sweep')
+    p = add('sweep', 'exhaustive agreement sweep', with_input=False)
     p.add_argument('max_points', type=int)
     p.add_argument('--mode', choices=tuple(enumeration.STREAMS),
                    default='unlabeled')

@@ -15,19 +15,14 @@ ideals are sorted ascending by member mask, which is also a linear
 extension of inclusion.
 '''
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from . import kernels
 from .errors import InputError, ResourceLimitError
-from .lattice import Lattice
+from .lattice import Lattice, SetLabels
 from .poset import DOWNSET_CAP, Poset
 
 ENVELOPE_MAX_POINTS = 12
-
-
-def _set_label(mask):
-    return '{%s}' % ','.join(str(i) for i in kernels.bit_indices(mask))
 
 
 def inclusion_lattice(masks):
@@ -39,7 +34,7 @@ def inclusion_lattice(masks):
             if s & ~t == 0:
                 row |= 1 << j
         rows.append(row)
-    return Lattice.from_up_rows(rows, labels=[_set_label(m) for m in masks])
+    return Lattice.from_up_rows(rows, labels=SetLabels(masks))
 
 
 @lru_cache(maxsize=8192)
@@ -81,32 +76,28 @@ def d_map(lattice, a):
                      if a not in ideal)
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(namedtuple('Isomorphism', 'source target forward backward')):
     'Mutually inverse order-preserving assignments between two structures.'
-    source: object
-    target: object
-    forward: tuple
-    backward: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        src, tgt = self.source, self.target
-        if len(self.forward) != src.n or len(self.backward) != tgt.n:
+    def __new__(cls, source, target, forward, backward):
+        if len(forward) != source.n or len(backward) != target.n:
             raise InputError('isomorphism assignments must be total')
-        for a in range(src.n):
-            if self.backward[self.forward[a]] != a:
+        for a in range(source.n):
+            if backward[forward[a]] != a:
                 raise InputError('assignments are not mutually inverse')
-        for b in range(tgt.n):
-            if self.forward[self.backward[b]] != b:
+        for b in range(target.n):
+            if forward[backward[b]] != b:
                 raise InputError('assignments are not mutually inverse')
-        for a in range(src.n):
-            row = src.up[a]
+        for a in range(source.n):
+            row = source.up[a]
             image = 0
-            for j in range(src.n):
+            for j in range(source.n):
                 if row >> j & 1:
-                    image |= 1 << self.forward[j]
-            if image != tgt.up[self.forward[a]]:
+                    image |= 1 << forward[j]
+            if image != target.up[forward[a]]:
                 raise InputError('assignment does not preserve the order both ways')
+        return super().__new__(cls, source, target, forward, backward)
 
 
 def stone_roundtrip(lattice):

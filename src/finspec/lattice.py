@@ -23,6 +23,29 @@ from .errors import InputError, ResourceLimitError
 from .poset import DOWNSET_CAP, Poset
 
 
+class SetLabels:
+    '''The labels {i,j,...} of a lattice of sets, element a being the set
+    masks[a]; a label is formatted when it is read, not when the lattice
+    is built, since only the tables and diagrams ever read one.'''
+
+    __slots__ = ('masks',)
+
+    def __init__(self, masks):
+        self.masks = tuple(masks)
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, a):
+        return '{%s}' % ','.join(map(str, kernels.bit_indices(self.masks[a])))
+
+    def __eq__(self, other):
+        return isinstance(other, SetLabels) and self.masks == other.masks
+
+    def __hash__(self):
+        return hash(self.masks)
+
+
 class Lattice:
     'Immutable finite bounded lattice on elements 0..n-1.'
 
@@ -52,7 +75,9 @@ class Lattice:
         self.full = order.full
         if labels is not None and len(labels) != n:
             raise InputError('need %d labels, got %d' % (n, len(labels)))
-        self.labels = None if labels is None else tuple(labels)
+        if labels is not None and not isinstance(labels, SetLabels):
+            labels = tuple(labels)
+        self.labels = labels
 
         found_bottom = found_top = None
         for i in range(n):

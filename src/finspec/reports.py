@@ -16,7 +16,7 @@ their definitions, never constant-folded, so a bug in the underlying
 operators would surface as a disagreement rather than stay hidden.
 '''
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from functools import lru_cache
 
 from . import kernels
@@ -29,21 +29,16 @@ from .errors import (AgreementError, InputError, PreconditionError,
 from .poset import MonotoneMap
 
 
-@dataclass(frozen=True, slots=True)
-class Condition:
+class Condition(namedtuple('Condition', 'label holds group witness',
+                           defaults=('', None))):
     "One reading's verdict, with the culprit it names when it fails."
-    label: str
-    holds: bool
-    group: str = ''
-    witness: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionReport:
+class ConditionReport(namedtuple('ConditionReport', 'theorem conditions hypotheses',
+                                 defaults=((),))):
     'Named verdicts of one theorem, with its hypotheses.'
-    theorem: str
-    conditions: tuple
-    hypotheses: tuple = ()
+    __slots__ = ()
 
     @property
     def witness(self):
@@ -226,15 +221,11 @@ def _max_touches_min(poset):
     return poset.minimal_mask & ~poset.patch_closure_mask(poset.maximal_mask) == 0
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(namedtuple('Theorem', 'report lattice hypotheses readings')):
     '''One registry entry.  report names a cached report function of this
     module, then its arguments after the poset; lattice names the builder
     of the lattice every reading gets, or is None.'''
-    report: tuple
-    lattice: str | None
-    hypotheses: tuple
-    readings: tuple
+    __slots__ = ()
 
 
 REGISTRY = {
@@ -415,25 +406,17 @@ def generic_complement(poset, points):
 # ----------------------------------------------------------------------
 # classification and exhaustive sweeps
 
-@dataclass(frozen=True)
-class StructureProfile:
+class StructureProfile(namedtuple('StructureProfile', (
+        'boolean', 'heyting', 'stone', 'pseudocomplemented', 'root_system',
+        'forest', 'stranded', 'confluent', 'inv_normal', 'normal'))):
     'Lattice-side and order-side classification of one poset.'
-    boolean: bool
-    heyting: bool
-    stone: bool
-    pseudocomplemented: bool
-    root_system: bool
-    forest: bool
-    stranded: bool
-    confluent: bool
-    inv_normal: bool
-    normal: bool
+    __slots__ = ()
 
     def as_dict(self):
-        return {flag: getattr(self, flag) for flag in PROFILE_FLAGS}
+        return self._asdict()
 
 
-PROFILE_FLAGS = tuple(field.name for field in fields(StructureProfile))
+PROFILE_FLAGS = StructureProfile._fields
 
 def classify(poset):
     'Profile of the down-set lattice and the order shape, implications enforced.'
@@ -469,29 +452,14 @@ def _survey(poset):
     return tuple(profile.as_dict().items()), tuple(broken)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    count: int
-    disagreements: int
-    class_counts: tuple
+SweepRow = namedtuple('SweepRow', 'n count disagreements class_counts')
+
+FirstFailure = namedtuple('FirstFailure', 'flag n index covers')
 
 
-@dataclass(frozen=True)
-class FirstFailure:
-    flag: str
-    n: int
-    index: int
-    covers: tuple
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    mode: str
-    max_points: int
-    rows: tuple
-    theorem_disagreements: tuple
-    first_failures: tuple
+class SweepSummary(namedtuple('SweepSummary', (
+        'mode', 'max_points', 'rows', 'theorem_disagreements', 'first_failures'))):
+    __slots__ = ()
 
     @property
     def total_posets(self):

@@ -384,3 +384,51 @@ def test_deeply_nested_json_exits_two(tmp_path):
     assert done.returncode == 2 and done.stdout == ''
     assert done.stderr.startswith('finspec: error: invalid json')
     assert 'Traceback' not in done.stderr
+
+
+IMPORT_PATH = '''
+import json, sys
+import finspec.cli
+imported = sorted(sys.modules)
+finspec.cli.main(['check', 'm3', '--json'])
+print(json.dumps([imported, sorted(sys.modules)]))
+'''
+
+
+def test_import_path_leaves_out_dataclasses_and_shutil():
+    # module names only: the records are named tuples, and the help
+    # formatter reads the terminal width without shutil
+    done = subprocess.run([sys.executable, '-S', '-c', IMPORT_PATH],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    imported, after_main = json.loads(done.stdout.splitlines()[-1])
+    assert 'finspec.cli' in imported
+    for name in ('dataclasses', 'inspect', 'ast', 'dis'):
+        assert name not in imported
+    assert 'shutil' not in after_main
+
+
+def test_help_wraps_at_the_terminal_width():
+    # COLUMNS sets the width, as it would for argparse's own formatter
+    wanted = {'--help': ('check', 'report', 'pc-table', 'spec', 'downsets',
+                         'envelope', 'sweep', 'dot'),
+              'sweep': ('max_points', '--mode', '--jobs', '--json')}
+    texts = {}
+    for columns in (60, 100):
+        for first, names in wanted.items():
+            argv = [first] if first == '--help' else [first, '--help']
+            done = subprocess.run([sys.executable, '-m', 'finspec.cli', *argv],
+                                  capture_output=True, text=True, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=SRC,
+                                           COLUMNS=str(columns)))
+            assert done.returncode == 0, done.stderr
+            for name in names:
+                assert name in done.stdout
+            # argparse never breaks a word, so the one line allowed past
+            # the width holds a single word: the choices in the usage line
+            for line in done.stdout.splitlines():
+                assert len(line) <= columns - 2 or len(line.split()) == 1
+            texts[columns, first] = done.stdout
+    for first in wanted:
+        assert texts[60, first] != texts[100, first]

@@ -1,5 +1,7 @@
 '''Both directions of the finite duality and their failure modes.'''
 
+import pickle
+
 import pytest
 
 from finspec import duality, kernels, reports
@@ -10,7 +12,7 @@ from finspec.duality import (ENVELOPE_MAX_POINTS, Isomorphism,
 from finspec.errors import InputError, ResourceLimitError
 from finspec.fixtures import a2, antichain, bool_lattice, c2, chain_lattice, \
     l3, m3, n5, v3
-from finspec.lattice import Lattice
+from finspec.lattice import Lattice, SetLabels
 from finspec.poset import Poset, are_isomorphic
 
 
@@ -20,6 +22,18 @@ def test_downset_lattice_of_v3():
     assert v3().downset_masks_all == (0b000, 0b001, 0b010, 0b011, 0b111)
     assert lat.label(3) == '{0,1}'
     assert lat.bottom == 0 and lat.top == 4
+
+
+def test_set_labels_are_formatted_when_read():
+    # a lattice of sets keeps its member masks, not one string per element
+    masks = v3().downset_masks_all
+    lat = duality.inclusion_lattice(masks)
+    assert lat.labels == SetLabels(masks) and lat.labels.masks is masks
+    assert list(lat.labels) == ['{}', '{0}', '{1}', '{0,1}', '{0,1,2}']
+    assert lat.dual().labels == lat.labels
+    assert pickle.loads(pickle.dumps(lat)).labels == lat.labels
+    with pytest.raises(InputError, match='need 4 labels, got 5'):
+        Lattice(4, [(0, 1), (1, 2), (2, 3)], labels=lat.labels)
 
 
 def test_downset_lattice_is_cached():

@@ -1,6 +1,5 @@
 '''Report layer: frozen verdicts, hypothesis gating, sweeps.'''
 
-import dataclasses
 import pickle
 
 import pytest
@@ -277,7 +276,7 @@ def test_flipped_reading_is_counted_as_a_disagreement(monkeypatch, capsys):
         return not holds, witness
 
     readings = entry.readings[:2] + ((label, group, negated),) + entry.readings[3:]
-    monkeypatch.setitem(REGISTRY, 'stone', dataclasses.replace(entry, readings=readings))
+    monkeypatch.setitem(REGISTRY, 'stone', entry._replace(readings=readings))
     _clear_report_caches()
     try:
         summary = sweep(3)
