@@ -58,7 +58,11 @@ def qccl_lattice(poset):
 
 def spec_poset(lattice):
     'Poset of proper prime ideals under inclusion, ascending by member mask.'
-    primes = lattice.prime_ideals()
+    return _spectrum(lattice.prime_ideals())
+
+
+def _spectrum(primes):
+    'Poset of the given prime ideals under inclusion, in their order.'
     rows = []
     for ideal in primes:
         row = 0
@@ -108,7 +112,7 @@ def stone_roundtrip(lattice):
     can cross-check against is_distributive.
     '''
     primes = lattice.prime_ideals()
-    spectrum = spec_poset(lattice)
+    spectrum = _spectrum(primes)
     target = downset_lattice(spectrum)
     index = {mask: i for i, mask in enumerate(spectrum.downset_masks_all)}
     forward = []

@@ -10,6 +10,17 @@ cached report.  The agreement flag says whether the readings applicable
 under the hypotheses came out equal, which the sweep checks by brute
 force.
 
+A sweep keeps every report in the caches, yet most of them name no
+witness and repeat a handful of values.  So once an entry's hypotheses
+and readings have all run, _evaluate swaps each witness-free Condition,
+the hypotheses and a witness-free report for one shared equal copy
+(hash-consing); _survey does the same with its per-poset row.  The pool
+is read only after evaluation, never in place of it, so every reading
+still runs on every poset and the caches count as before.  A record
+with a witness is never pooled, so the pool holds only values made of
+the registry's labels, the profile flags and booleans: it stays bounded
+by those, whatever the size of the sweep.
+
 Several conditions are trivially true on a finite space (patch-closed
 sets, compactness, constructibility).  They are still computed from
 their definitions, never constant-folded, so a bug in the underlying
@@ -298,8 +309,21 @@ REGISTRY = {
 THEOREMS = tuple(REGISTRY)
 
 
+# Witness-free records, each kept once: one table per record type, since
+# a named tuple compares equal to the plain tuple of its fields.
+_CONDITIONS, _HYPOTHESES, _REPORTS, _ROWS = {}, {}, {}, {}
+
+
+def _shared(table, record):
+    'The one copy of record that table keeps.'
+    return table.setdefault(record, record)
+
+
 def _evaluate(poset, theorem):
-    'Every hypothesis and reading of one registry entry, each on its own.'
+    '''Every hypothesis and reading of one registry entry, each on its own.
+
+    Only then are the witness-free records swapped for their shared copies.
+    '''
     entry = REGISTRY[theorem]
     lattice = None if entry.lattice is None else globals()[entry.lattice](poset)
     hypotheses = tuple((name, bool(test(poset))) for name, test in entry.hypotheses)
@@ -307,7 +331,10 @@ def _evaluate(poset, theorem):
     for label, group, reading in entry.readings:
         holds, witness = reading(poset, lattice)
         conditions.append(Condition(label, bool(holds), group, witness))
-    return ConditionReport(theorem, tuple(conditions), hypotheses)
+    report = ConditionReport(theorem, tuple(
+        c if c.witness is not None else _shared(_CONDITIONS, c) for c in conditions),
+        _shared(_HYPOTHESES, hypotheses))
+    return report if report.witness is not None else _shared(_REPORTS, report)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +476,7 @@ def _survey(poset):
         report = theorem_report(poset, theorem)
         if report.hypothesis_satisfied and not report.agreement:
             broken.append(theorem)
-    return tuple(profile.as_dict().items()), tuple(broken)
+    return _shared(_ROWS, (tuple(profile.as_dict().items()), tuple(broken)))
 
 
 SweepRow = namedtuple('SweepRow', 'n count disagreements class_counts')
@@ -476,16 +503,21 @@ class SweepSummary(namedtuple('SweepSummary', (
         return None
 
 
+MAX_JOBS = 64
+
+
 def sweep(max_points, mode='unlabeled', jobs=1):
     '''Run every report over every poset of every size up to max_points.
 
     The summary carries per-size counts, per-theorem disagreement totals
     (all zero on a correct build) and, for each profile flag, the first
     poset in canonical order that falsifies it.  Output is deterministic
-    and identical for any worker count.
+    and identical for any worker count, which is capped at MAX_JOBS.
     '''
     if not isinstance(jobs, int) or jobs < 1:
         raise InputError('jobs must be a positive int')
+    if jobs > MAX_JOBS:
+        raise ResourceLimitError('jobs capped at %d (MAX_JOBS), got %d' % (MAX_JOBS, jobs))
     check_args(max_points, mode)
     rows_out = []
     theorem_counts = {theorem: 0 for theorem in THEOREMS}

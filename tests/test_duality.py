@@ -138,6 +138,19 @@ def test_stone_roundtrip_really_is_an_isomorphism():
             assert lat.leq(a, b) == other.leq(iso.forward[a], iso.forward[b])
 
 
+def test_stone_roundtrip_finds_the_prime_ideals_once(monkeypatch):
+    calls = []
+    prime_element_mask = kernels.prime_element_mask
+
+    def counting(*args):
+        calls.append(args)
+        return prime_element_mask(*args)
+
+    monkeypatch.setattr(kernels, 'prime_element_mask', counting)
+    assert stone_roundtrip(bool_lattice(3)) is not None
+    assert len(calls) == 1
+
+
 def d4_poset():
     return Poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 

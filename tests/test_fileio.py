@@ -1,13 +1,17 @@
 '''Text, json and dot serialization round trips and rejection paths.'''
 
+import random
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finspec.duality import downset_lattice
 from finspec.errors import InputError
 from finspec.fileio import (lattice_to_text, parse, parse_json, parse_text,
                             poset_to_text, read_path, to_dot, to_json,
                             to_json_obj)
-from finspec.fixtures import m3, n5, v3
+from finspec.fixtures import antichain, m3, n5, v3
 from finspec.lattice import Lattice
 from finspec.poset import Poset
 
@@ -152,3 +156,61 @@ def test_dot_quotes_labels():
     assert '[label="x\\\\y"]' in out
     with pytest.raises(InputError):
         to_dot(42)
+
+
+@st.composite
+def random_posets(draw, max_points=8):
+    'A random order on up to max_points points, acyclic by construction.'
+    n = draw(st.integers(0, max_points))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # few pairs leave wide orders, whose down-set lattices reach 2**n elements
+    kept = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else ()
+    # relabel, so the order is not always a sub-order of 0 < 1 < ... < n-1
+    perm = draw(st.permutations(range(n)))
+    return Poset(n, [(perm[i], perm[j]) for i, j in kept])
+
+
+def renumbered(lattice, perm):
+    'The same lattice with element a renamed perm[a].'
+    rows = [0] * lattice.n
+    for a, row in enumerate(lattice.up):
+        for b in range(lattice.n):
+            if row >> b & 1:
+                rows[perm[a]] |= 1 << perm[b]
+    return Lattice.from_up_rows(rows)
+
+
+def covering_pairs(up):
+    'Pairs a < b with nothing strictly between, straight from the up rows.'
+    n = len(up)
+    above = [row & ~(1 << a) for a, row in enumerate(up)]
+    below = [sum(1 << c for c in range(n) if c != b and up[c] >> b & 1) for b in range(n)]
+    return {(a, b) for a in range(n) for b in range(n)
+            if above[a] >> b & 1 and above[a] & below[b] == 0}
+
+
+def dot_edges(text):
+    return {(int(a), int(b)) for a, b in re.findall(r'^  (\d+) -> (\d+);$', text, re.M)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_posets())
+def test_random_posets_round_trip_through_text_and_json(poset):
+    for text in (poset_to_text(poset), to_json(poset)):
+        assert parse(text) == poset
+    assert dot_edges(to_dot(poset)) == covering_pairs(poset.up)
+
+
+@settings(max_examples=10, deadline=None)
+# renumbered lattices build their tables the slow way: the drawn ones stay
+# at 7 points (128 elements), and one example reaches 256
+@given(random_posets(max_points=7), st.randoms(use_true_random=False))
+@example(antichain(8), random.Random(0))
+def test_renumbered_downset_lattices_round_trip(poset, rng):
+    lattice = downset_lattice(poset)
+    moved = renumbered(lattice, rng.sample(range(lattice.n), lattice.n))
+    for text in (lattice_to_text(moved), to_json(moved)):
+        back = parse(text)
+        assert isinstance(back, Lattice)
+        assert (back.up, back.bottom, back.top) == (moved.up, moved.bottom, moved.top)
+    assert dot_edges(to_dot(moved)) == covering_pairs(moved.up)

@@ -9,7 +9,8 @@ from finspec import cli, kernels
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import a2, antichain, c2, chain_poset, d4, l3, v3
 from finspec.poset import Poset, are_isomorphic
-from finspec.reports import (PROFILE_FLAGS, REGISTRY, THEOREMS, Condition,
+from finspec import reports
+from finspec.reports import (MAX_JOBS, PROFILE_FLAGS, REGISTRY, THEOREMS, Condition,
                              ConditionReport, classify, collapse_report,
                              constructible_closures, generic_complement,
                              heyting_report, inverse_closure_is_patch,
@@ -260,6 +261,21 @@ def test_sweep_validates_arguments():
         sweep(99)
 
 
+def test_sweep_refuses_jobs_past_the_cap_before_any_pool(monkeypatch, capsys):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError('no worker pool may start')
+
+    monkeypatch.setattr(multiprocessing, 'Pool', no_pool)
+    with pytest.raises(ResourceLimitError, match='MAX_JOBS'):
+        sweep(0, jobs=MAX_JOBS + 1)
+    assert cli.main(['sweep', '0', '--jobs', '100000']) == 3
+    assert 'capped at %d (MAX_JOBS)' % MAX_JOBS in capsys.readouterr().err
+    with pytest.raises(AssertionError, match='no worker pool'):
+        sweep(0, jobs=MAX_JOBS)
+
+
 def _clear_report_caches():
     for fn in (pc_space_report, stone_report, qccl_stone_report, heyting_report,
                root_forest_report, collapse_report):
@@ -288,3 +304,45 @@ def test_flipped_reading_is_counted_as_a_disagreement(monkeypatch, capsys):
         assert 'agreement: NO' in capsys.readouterr().out
     finally:
         _clear_report_caches()
+
+
+def test_equal_witness_free_reports_are_one_shared_object():
+    # two labelings of the 3-chain are different posets with equal reports
+    first, second = Poset(3, [(0, 1), (1, 2)]), Poset(3, [(2, 1), (1, 0)])
+    assert first != second
+    for theorem in THEOREMS:
+        one, two = theorem_report(first, theorem), theorem_report(second, theorem)
+        assert one.witness is None
+        assert one is two
+        assert all(a is b for a, b in zip(one.conditions, two.conditions))
+
+
+def test_witness_free_conditions_are_shared_across_reports():
+    # v3 and its relabeling fail stone with witnesses, so the reports stay
+    # apart, but their witness-free conditions are the same objects
+    first, second = v3(), Poset(3, [(1, 0), (2, 0)])
+    one, two = stone_report(first), stone_report(second)
+    assert one.witness is not None and one is not two
+    assert one.conditions[0] is two.conditions[0]
+    assert one.conditions[0] is reports._CONDITIONS[one.conditions[0]]
+    assert one.hypotheses is two.hypotheses
+
+
+def test_report_with_a_witness_is_not_pooled():
+    rep = stone_report(v3())
+    assert rep.witness is not None
+    assert rep not in reports._REPORTS
+    for c in rep.conditions:
+        if c.witness is not None:
+            assert c not in reports._CONDITIONS
+
+
+def test_labeled_sweep_pools_only_a_few_witness_free_records():
+    sweep(4, 'labeled')
+    tables = (reports._CONDITIONS, reports._HYPOTHESES, reports._REPORTS,
+              reports._ROWS)
+    for table in tables:
+        assert all(key is value for key, value in table.items())
+    assert all(c.witness is None for c in reports._CONDITIONS)
+    assert all(rep.witness is None for rep in reports._REPORTS)
+    assert sum(map(len, tables)) < 200
