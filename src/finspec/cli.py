@@ -6,12 +6,22 @@ bool<k>.  report, downsets and envelope take posets only; check,
 pc-table, spec and dot take either kind.  Exit codes: 0 on
 success, 1 when an agreement assertion fails, 2 on bad input, 3 when a
 resource cap is hit.  JSON output always carries "schema": 1.
+
+Arguments are read against COMMANDS, one table of the subcommands, in
+the language argparse reads: options go anywhere after the subcommand,
+as --opt value or --opt=value, and a long option may be cut to any
+prefix that names one flag (--j is ambiguous for sweep, which has --jobs
+and --json).  A repeated option keeps its last value, '--' ends the
+options, and -h or --help prints help, for the program or a subcommand.
+A bad argument exits 2 with a usage line and argparse's message.
+
+An input file must be UTF-8, or it exits 2 naming the first bad byte's
+offset; one longer than fileio.MAX_INPUT_BYTES (64 MiB) exits 3 unread.
 '''
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 
 from . import enumeration, fileio, fixtures, reports
@@ -220,15 +230,45 @@ def _run_sweep(max_points, mode, jobs, as_json):
 # ----------------------------------------------------------------------
 # argument wiring
 
+# The one table of subcommands: it parses argv, and renders the usage
+# lines and --help.  Per subcommand: its help, its positionals as (name,
+# help, kind) and its options as (flag, kind, default).  A kind is str,
+# int or a tuple of choices; an option of kind bool is a switch.
+_INPUT = ('input', 'file path or built-in name (v3, m3, chain4...)', str)
+_JSON = ('--json', bool, False)
+_DOT = ('--dot', bool, False)
 
-def _formatter(prog):
-    '''argparse's help formatter at the width it would pick itself.
+COMMANDS = {
+    'check': ('classification profile of a poset or lattice', (_INPUT,), (_JSON,)),
+    'report': ('one cross-validation report',
+               (('theorem', None, reports.THEOREMS), ('input', None, str)), (_JSON,)),
+    'pc-table': ('pseudocomplement and implication tables', (_INPUT,), (_JSON,)),
+    'spec': ('prime spectrum poset of a lattice', (_INPUT,), (_JSON, _DOT)),
+    'downsets': ('down-set lattice of a poset', (_INPUT,), (_JSON, _DOT)),
+    'envelope': ('powerset envelope of a poset', (_INPUT,), (_JSON, _DOT)),
+    'sweep': ('exhaustive agreement sweep', (('max_points', None, int),),
+              (('--mode', tuple(enumeration.STREAMS), 'unlabeled'),
+               ('--jobs', int, 1), _JSON)),
+    'dot': ('Hasse diagram in DOT', (_INPUT,), ()),
+}
 
-    The stock formatter asks shutil.get_terminal_size, and importing
-    shutil (with bz2, lzma and fnmatch behind it) was most of the cost of
-    building the parser.  This reads the same columns the same way:
-    COLUMNS, else the size of the terminal on stdout, else 80; minus 2.
-    '''
+_DESCRIPTION = ('Finite spectral spaces as posets: classification, '
+                'theorem cross-checks, duality, and sweeps.')
+_HELP = ('-h', '--help')
+
+
+def _metavar(name, kind):
+    return '{%s}' % ','.join(kind) if isinstance(kind, tuple) else name
+
+
+def _invocation(flag, kind):
+    return flag if kind is bool else '%s %s' % (flag, _metavar(flag[2:].upper(), kind))
+
+
+def _width():
+    '''The width argparse formats for: COLUMNS, else the size of the
+    terminal on stdout, else 80; minus 2.  Read without shutil, whose
+    import (bz2, lzma and fnmatch behind it) would cost more than help.'''
     try:
         columns = int(os.environ['COLUMNS'])
     except (KeyError, ValueError):
@@ -238,76 +278,246 @@ def _formatter(prog):
             columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
         except (AttributeError, ValueError, OSError):
             columns = 0
-    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+    return (columns or 80) - 2
 
 
-@functools.lru_cache(maxsize=None)
-def _parser():
-    'The argument parser, built once per process: parse_args leaves it as it is.'
-    parser = argparse.ArgumentParser(
-        prog='finspec',
-        description='Finite spectral spaces as posets: classification, '
-                    'theorem cross-checks, duality, and sweeps.',
-        formatter_class=_formatter)
-    sub = parser.add_subparsers(dest='subcommand', required=True)
+def _fill(lines, parts, width, indent):
+    'lines with parts added greedily, each new line indented.'
+    for part in parts:
+        if lines and len(lines[-1]) + 1 + len(part) <= width:
+            lines[-1] += ' ' + part
+        else:
+            lines.append(indent + part)
+    return lines
 
-    def add(name, help_text, with_input=True):
-        p = sub.add_parser(name, help=help_text, formatter_class=_formatter)
-        if with_input:
-            p.add_argument('input',
-                           help='file path or built-in name (v3, m3, chain4...)')
-        return p
 
-    p = add('check', 'classification profile of a poset or lattice')
-    p.add_argument('--json', action='store_true')
+def _usage(command, width):
+    '''The usage line; past width, the options and then the positionals
+    wrap under the first one, as argparse wraps them.'''
+    if command is None:
+        prog, options = 'finspec', ['[-h]']
+        positionals = [_metavar(None, tuple(COMMANDS)), '...']
+    else:
+        _, entries, flags = COMMANDS[command]
+        prog = 'finspec ' + command
+        options = ['[-h]'] + ['[%s]' % _invocation(flag, kind) for flag, kind, _ in flags]
+        positionals = [_metavar(name, kind) for name, _, kind in entries]
+    line = ' '.join(['usage:', prog] + options + positionals)
+    if len(line) <= width:
+        return line
+    indent = ' ' * len('usage: %s ' % prog)
+    return '\n'.join(_fill(['usage: ' + prog], options, width, indent)
+                     + _fill([], positionals, width, indent))
 
-    p = add('report', 'one cross-validation report', with_input=False)
-    p.add_argument('theorem', choices=reports.THEOREMS)
-    p.add_argument('input')
-    p.add_argument('--json', action='store_true')
 
-    p = add('pc-table', 'pseudocomplement and implication tables')
-    p.add_argument('--json', action='store_true')
+def _help(command, width):
+    'The --help text, laid out as argparse lays it out.'
+    import textwrap
+    blocks = [_usage(command, width)]
+    options = [(2, '-h, --help', 'show this help message and exit')]
+    if command is None:
+        blocks.append(textwrap.fill(_DESCRIPTION, max(width, 11)))
+        positionals = [(2, _metavar(None, tuple(COMMANDS)), None)]
+        positionals += [(4, name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        _, entries, flags = COMMANDS[command]
+        positionals = [(2, _metavar(name, kind), text) for name, text, kind in entries]
+        options += [(2, _invocation(flag, kind), None) for flag, kind, _ in flags]
+    # argparse measures nested rows from the section's indent too
+    column = min(max(len(head) for _, head, _ in positionals + options) + 4,
+                 min(24, max(width - 20, 4)))
 
-    for name, help_text in (('spec', 'prime spectrum poset of a lattice'),
-                            ('downsets', 'down-set lattice of a poset'),
-                            ('envelope', 'powerset envelope of a poset')):
-        p = add(name, help_text)
-        p.add_argument('--json', action='store_true')
-        p.add_argument('--dot', action='store_true')
+    def rows(entries):
+        lines = []
+        for indent, head, text in entries:
+            head = ' ' * indent + head
+            if text is None:
+                lines.append(head)
+                continue
+            wrapped = textwrap.wrap(text, max(width - column, 11))
+            if len(head) + 2 <= column:
+                lines.append(head.ljust(column) + wrapped.pop(0))
+            else:
+                lines.append(head)
+            lines += [' ' * column + line for line in wrapped]
+        return '\n'.join(lines)
 
-    p = add('sweep', 'exhaustive agreement sweep', with_input=False)
-    p.add_argument('max_points', type=int)
-    p.add_argument('--mode', choices=tuple(enumeration.STREAMS),
-                   default='unlabeled')
-    p.add_argument('--jobs', type=int, default=1)
-    p.add_argument('--json', action='store_true')
+    blocks += ['positional arguments:\n' + rows(positionals),
+               'options:\n' + rows(options)]
+    return '\n\n'.join(blocks) + '\n'
 
-    add('dot', 'Hasse diagram in DOT')
-    return parser
+
+def _fail(command, message):
+    'The usage and the error on stderr, then exit 2, as argparse does.'
+    sys.stderr.write('%s\n%s: error: %s\n' % (
+        _usage(command, _width()),
+        'finspec' if command is None else 'finspec ' + command, message))
+    raise SystemExit(2)
+
+
+def _show_help(command, flag, value):
+    'Print the help and exit 0; -hh is -h -h, and any other glued value is an error.'
+    if value is not None:
+        rest = value.lstrip('h') if flag == '-h' else value
+        if rest or not value:
+            _fail(command, 'argument -h/--help: ignored explicit argument %r' % rest)
+    sys.stdout.write(_help(command, _width()))
+    raise SystemExit(0)
+
+
+def _option(arg, flags, command):
+    '''How argparse reads arg against flags: None for a plain argument,
+    else (flag, glued value or None), with flag None for an unknown option.
+
+    A value is glued on by "=", or straight after a one-dash flag.  A long
+    option may be shortened to any prefix that names one flag.
+    '''
+    if not arg.startswith('-'):
+        return None
+    if arg in flags:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    flag, eq, value = arg.partition('=')
+    if eq and flag in flags:
+        return flag, value
+    if arg[1] == '-':
+        matches = [known for known in flags if known.startswith(flag)]
+        value = value if eq else None
+    else:
+        matches = [known for known in flags if known == arg[:2]]
+        value = arg[2:]
+    if len(matches) > 1:
+        _fail(command, 'ambiguous option: %s could match %s' % (arg, ', '.join(matches)))
+    if matches:
+        return matches[0], value
+    if ' ' in arg or re.match(r'^-\d+$|^-\d*\.\d+$', arg):
+        return None
+    return None, None
+
+
+def _convert(name, value, kind, command):
+    'value read as kind, or exit 2 naming the argument.'
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _fail(command, 'argument %s: invalid int value: %r' % (name, value))
+    if isinstance(kind, tuple) and value not in kind:
+        _fail(command, 'argument %s: invalid choice: %r (choose from %s)'
+              % (name, value, ', '.join(map(repr, kind))))
+    return value
+
+
+def _parse_command(command, args):
+    "The values of one subcommand's arguments, and the arguments left over."
+    _, positionals, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _ in options}
+    flags = _HELP + tuple(kinds)
+    values = {'subcommand': command}
+    values.update((flag[2:], default) for flag, _, default in options)
+    # every argument before '--' is read first: an ambiguous prefix exits
+    # before any value is converted
+    end = args.index('--') if '--' in args else len(args)
+    found = {}
+    for i in range(end):
+        option = _option(args[i], flags, command)
+        if option is not None:
+            found[i] = option
+    pending = list(positionals)
+    extras = []
+    i = 0
+    while i < len(args):
+        if i in found:
+            flag, value = found[i]
+            i += 1
+            if flag is None:
+                extras.append(args[i - 1])
+            elif flag in _HELP:
+                _show_help(command, flag, value)
+            elif kinds[flag] is bool:
+                if value is not None:
+                    _fail(command, 'argument %s: ignored explicit argument %r' % (flag, value))
+                values[flag[2:]] = True
+            else:
+                if value is None:
+                    if i == len(args) or i == end or i in found:
+                        _fail(command, 'argument %s: expected one argument' % flag)
+                    value = args[i]
+                    i += 1
+                values[flag[2:]] = _convert(flag, value, kinds[flag], command)
+            continue
+        # positionals take the arguments up to the next option; the '--'
+        # before or after one of them is dropped, the rest is extra
+        start = i
+        while pending and i < len(args) and i not in found:
+            if i != end:
+                name, _, kind = pending.pop(0)
+                values[name] = _convert(name, args[i], kind, command)
+            elif i + 1 == len(args):
+                break
+            i += 1
+        if i == end and i > start:
+            i += 1
+        while i < len(args) and i not in found:
+            extras.append(args[i])
+            i += 1
+    if pending:
+        _fail(command, 'the following arguments are required: %s'
+              % ', '.join(name for name, _, _ in pending))
+    return values, extras
+
+
+def parse_args(argv):
+    '''argv read against COMMANDS: a dict of the subcommand and the value
+    of each of its arguments, keyed as argparse keys them.
+
+    -h and --help print help and exit 0; bad arguments exit 2 with
+    argparse's usage line and message.
+    '''
+    argv = list(argv)
+    extras = []
+    for i, arg in enumerate(argv):
+        option = None if arg == '--' else _option(arg, _HELP, None)
+        if option is None:
+            break
+        if option[0] is None:
+            extras.append(arg)
+        else:
+            _show_help(None, *option)
+    else:
+        i = len(argv)
+    if argv[i:] in ([], ['--']):
+        _fail(None, 'the following arguments are required: subcommand')
+    command = _convert('subcommand', argv[i], tuple(COMMANDS), None)
+    values, more = _parse_command(command, argv[i + 1:])
+    if extras or more:
+        _fail(None, 'unrecognized arguments: %s' % ' '.join(extras + more))
+    return values
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    command, as_json = args['subcommand'], args.get('json')
     try:
-        if args.subcommand == 'sweep':
-            code, text = _run_sweep(args.max_points, args.mode, args.jobs,
-                                    args.json)
+        if command == 'sweep':
+            code, text = _run_sweep(args['max_points'], args['mode'], args['jobs'],
+                                    as_json)
         else:
-            structure = _resolve(args.input)
-            if args.subcommand == 'check':
-                code, text = _run_check(structure, args.input, args.json)
-            elif args.subcommand == 'report':
-                code, text = _run_report(structure, args.input, args.theorem,
-                                         args.json)
-            elif args.subcommand == 'pc-table':
-                code, text = _run_pc_table(structure, args.input, args.json)
-            elif args.subcommand == 'spec':
-                code, text = _run_spec(structure, args.json, args.dot)
-            elif args.subcommand == 'downsets':
-                code, text = _run_downsets(structure, args.json, args.dot)
-            elif args.subcommand == 'envelope':
-                code, text = _run_envelope(structure, args.json, args.dot)
+            source = args['input']
+            structure = _resolve(source)
+            if command == 'check':
+                code, text = _run_check(structure, source, as_json)
+            elif command == 'report':
+                code, text = _run_report(structure, source, args['theorem'], as_json)
+            elif command == 'pc-table':
+                code, text = _run_pc_table(structure, source, as_json)
+            elif command == 'spec':
+                code, text = _run_spec(structure, as_json, args['dot'])
+            elif command == 'downsets':
+                code, text = _run_downsets(structure, as_json, args['dot'])
+            elif command == 'envelope':
+                code, text = _run_envelope(structure, as_json, args['dot'])
             else:
                 code, text = 0, fileio.to_dot(structure)
     except AgreementError as exc:

@@ -171,12 +171,32 @@ def parse(text):
     return parse_text(text)
 
 
+# The most bytes read from one file.  The writers list covering pairs
+# only, and an order on DOWNSET_CAP = 4096 points has at most 4096**2 / 4
+# of them (a covering graph has no triangle, so Mantel's bound holds):
+# 48 MiB as "i < j" lines, 56 MiB as json pairs.  A longer file exits 3
+# instead of being read whole, which for /dev/zero would never end.
+MAX_INPUT_BYTES = 64 << 20
+
+
 def read_path(path):
+    """The structure in the file at path, which must be UTF-8 and at most
+    MAX_INPUT_BYTES long."""
     try:
-        with open(path, encoding='utf-8') as handle:
-            return parse(handle.read())
+        with open(path, 'rb') as handle:
+            data = handle.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise InputError('cannot read %s: %s' % (path, exc.strerror)) from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise ResourceLimitError('%s is larger than MAX_INPUT_BYTES (%d bytes)'
+                                 % (path, MAX_INPUT_BYTES))
+    try:
+        text = data.decode('utf-8')
+    except UnicodeDecodeError as exc:
+        raise InputError('%s is not UTF-8: byte 0x%02x at offset %d'
+                         % (path, data[exc.start], exc.start)) from None
+    # universal newlines, as a text-mode read gives them
+    return parse(text.replace('\r\n', '\n').replace('\r', '\n'))
 
 
 # ----------------------------------------------------------------------

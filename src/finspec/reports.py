@@ -331,10 +331,17 @@ def _evaluate(poset, theorem):
     for label, group, reading in entry.readings:
         holds, witness = reading(poset, lattice)
         conditions.append(Condition(label, bool(holds), group, witness))
-    report = ConditionReport(theorem, tuple(
-        c if c.witness is not None else _shared(_CONDITIONS, c) for c in conditions),
-        _shared(_HYPOTHESES, hypotheses))
-    return report if report.witness is not None else _shared(_REPORTS, report)
+    if any(c.witness is not None for c in conditions):
+        return ConditionReport(theorem, tuple(
+            c if c.witness is not None else _shared(_CONDITIONS, c) for c in conditions),
+            _shared(_HYPOTHESES, hypotheses))
+    # the whole report is looked up first: a hit hashes each condition once
+    report = _REPORTS.get(ConditionReport(theorem, tuple(conditions), hypotheses))
+    if report is None:
+        report = ConditionReport(theorem, tuple(_shared(_CONDITIONS, c) for c in conditions),
+                                 _shared(_HYPOTHESES, hypotheses))
+        _REPORTS[report] = report
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 '''Command-line behavior: outputs, exit codes, determinism.'''
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from finspec.cli import main
+from finspec import fileio, reports
+from finspec.cli import main, parse_args
 from finspec.fileio import lattice_to_text, poset_to_text
 from finspec.duality import ENVELOPE_MAX_POINTS, downset_lattice
 from finspec.enumeration import STREAMS
@@ -288,6 +292,47 @@ def test_numbers_too_long_to_convert_exit_two(capsys, tmp_path, text):
     assert err.startswith('finspec: error: ') and '5001' in err
 
 
+def test_non_utf8_file_exits_two_naming_the_byte(capsys, tmp_path):
+    target = tmp_path / 'latin1.txt'
+    target.write_bytes(b'poset 2\n0 < 1 # caf\xe9\n')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 2 and out == ''
+    assert err == 'finspec: error: %s is not UTF-8: byte 0xe9 at offset 19\n' % target
+
+
+def test_input_past_the_byte_cap_exits_three(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, 'MAX_INPUT_BYTES', 4096)
+    text = 'poset 2\n0 < 1\n'
+    target = tmp_path / 'padded.txt'
+    target.write_text(text + '#' * (4096 - len(text)), encoding='utf-8')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 0 and out.startswith('poset with 2 points') and err == ''
+    target.write_text(text + '#' * (4097 - len(text)), encoding='utf-8')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 3 and out == ''
+    assert err == ('finspec: resource limit: %s is larger than MAX_INPUT_BYTES '
+                   '(4096 bytes)\n' % target)
+
+
+ENDLESS_INPUT = '''
+import resource, sys
+# a read without a bound runs into this limit instead of the host's memory
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from finspec.cli import main
+sys.exit(main(['check', '/dev/zero']))
+'''
+
+
+@pytest.mark.skipif(not os.path.exists('/dev/zero'), reason='no /dev/zero')
+def test_endless_file_exits_three_at_the_real_cap():
+    done = subprocess.run([sys.executable, '-c', ENDLESS_INPUT],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 3 and done.stdout == ''
+    assert done.stderr == ('finspec: resource limit: /dev/zero is larger than '
+                           'MAX_INPUT_BYTES (%d bytes)\n' % fileio.MAX_INPUT_BYTES)
+
+
 @pytest.mark.parametrize('text', [
     'poset 1000000000\n',
     'lattice 1000000000\n0 < 1\n',
@@ -337,9 +382,10 @@ def test_sweep_mode_outside_the_stream_table_exits_two(capsys):
 SRC = str(Path(__file__).resolve().parents[1] / 'src')
 
 IN_ONE_PROCESS = '''
-import contextlib, io, json, sys
+import contextlib, copy, io, json, sys
 sys.path.insert(0, %r)
 from finspec import cli
+table = copy.deepcopy(cli.COMMANDS)
 runs = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -349,11 +395,12 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     runs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps({'runs': runs, 'builds': cli._parser.cache_info().misses}))
+print(json.dumps({'runs': runs, 'table_unchanged': cli.COMMANDS == table}))
 ''' % SRC
 
 
 def test_one_parser_serves_every_call_in_a_process():
+    # the table is only read: calls in one process match fresh processes
     argvs = [['check', 'v3', '--json'],
              ['sweep', 'three'],
              ['report', 'stone', 'v3'],
@@ -370,7 +417,7 @@ def test_one_parser_serves_every_call_in_a_process():
     together = json.loads(done.stdout)
     assert together['runs'] == alone
     assert [code for code, _, _ in alone] == [0, 2, 0, 0]
-    assert together['builds'] == 1
+    assert together['table_unchanged']
 
 
 def test_deeply_nested_json_exits_two(tmp_path):
@@ -396,8 +443,9 @@ print(json.dumps([imported, sorted(sys.modules)]))
 
 
 def test_import_path_leaves_out_dataclasses_and_shutil():
-    # module names only: the records are named tuples, and the help
-    # formatter reads the terminal width without shutil
+    # module names only: the records are named tuples, the arguments are
+    # read from the command table, and help reads the terminal width
+    # without shutil
     done = subprocess.run([sys.executable, '-S', '-c', IMPORT_PATH],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=SRC))
@@ -406,7 +454,8 @@ def test_import_path_leaves_out_dataclasses_and_shutil():
     assert 'finspec.cli' in imported
     for name in ('dataclasses', 'inspect', 'ast', 'dis'):
         assert name not in imported
-    assert 'shutil' not in after_main
+    for name in ('shutil', 'argparse', 'gettext', 'locale'):
+        assert name not in after_main
 
 
 def test_help_wraps_at_the_terminal_width():
@@ -432,3 +481,201 @@ def test_help_wraps_at_the_terminal_width():
             texts[columns, first] = done.stdout
     for first in wanted:
         assert texts[60, first] != texts[100, first]
+
+
+# ----------------------------------------------------------------------
+# the command table against the argparse parser it replaced
+
+
+def argparse_reference():
+    'The argparse parser the command table replaced, kept to pin its language.'
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=int(os.environ['COLUMNS']) - 2)
+
+    parser = argparse.ArgumentParser(
+        prog='finspec',
+        description='Finite spectral spaces as posets: classification, '
+                    'theorem cross-checks, duality, and sweeps.',
+        formatter_class=formatter)
+    sub = parser.add_subparsers(dest='subcommand', required=True)
+
+    def add(name, help_text, with_input=True):
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if with_input:
+            p.add_argument('input',
+                           help='file path or built-in name (v3, m3, chain4...)')
+        return p
+
+    p = add('check', 'classification profile of a poset or lattice')
+    p.add_argument('--json', action='store_true')
+
+    p = add('report', 'one cross-validation report', with_input=False)
+    p.add_argument('theorem', choices=reports.THEOREMS)
+    p.add_argument('input')
+    p.add_argument('--json', action='store_true')
+
+    p = add('pc-table', 'pseudocomplement and implication tables')
+    p.add_argument('--json', action='store_true')
+
+    for name, help_text in (('spec', 'prime spectrum poset of a lattice'),
+                            ('downsets', 'down-set lattice of a poset'),
+                            ('envelope', 'powerset envelope of a poset')):
+        p = add(name, help_text)
+        p.add_argument('--json', action='store_true')
+        p.add_argument('--dot', action='store_true')
+
+    p = add('sweep', 'exhaustive agreement sweep', with_input=False)
+    p.add_argument('max_points', type=int)
+    p.add_argument('--mode', choices=tuple(STREAMS), default='unlabeled')
+    p.add_argument('--jobs', type=int, default=1)
+    p.add_argument('--json', action='store_true')
+
+    add('dot', 'Hasse diagram in DOT')
+    return parser
+
+
+def outcome(parse, argv):
+    'The values parse returns, or its exit code, with what it printed.'
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    monkeypatch.setenv('COLUMNS', '80')
+    return lambda argv: vars(argparse_reference().parse_args(argv))
+
+
+ACCEPTED = [
+    ['check', 'v3'],
+    ['check', '--json', 'v3'],
+    ['check', 'v3', '--json'],
+    ['check', 'v3', '--j'],                       # a prefix naming one flag
+    ['check', 'v3', '--json', '--json'],
+    ['check', '--', '--json'],                    # '--' ends the options
+    ['check', 'v3', '--'],
+    ['check', '--', 'v3'],
+    ['report', 'stone', 'v3'],
+    ['report', '--json', 'stone', 'v3'],
+    ['report', 'stone', '--json', 'v3'],          # between the positionals
+    ['report', 'collapse-max', 'd4', '--js'],
+    ['pc-table', 'm3', '--json'],
+    ['spec', '--dot', 'm3', '--json'],
+    ['spec', 'm3', '--do'],
+    ['downsets', 'v3', '--dot'],
+    ['envelope', '--js', 'c2'],
+    ['dot', 'v3'],
+    ['sweep', '3'],
+    ['sweep', '-1'],                              # a negative number is a value
+    ['sweep', '3', '--jobs', '-2'],
+    ['sweep', '--mode', 'labeled', '3'],
+    ['sweep', '3', '--mode=labeled'],
+    ['sweep', '--mo=labeled', '3', '--jobs', '2'],
+    ['sweep', '3', '--m', 'labeled'],
+    ['sweep', '3', '--jobs', '2', '--jobs=3'],    # the last one counts
+    ['sweep', '3', '--mode', 'labeled', '--mode', 'unlabeled'],
+    ['sweep', '--json', '3', '--jo', '2'],
+    ['sweep', '--', '3'],
+    ['sweep', '3', '--jobs=+4'],
+]
+
+
+@pytest.mark.parametrize('argv', ACCEPTED, ids=' '.join)
+def test_table_parses_as_argparse_did(reference, argv):
+    values, out, err = outcome(parse_args, argv)
+    assert (out, err) == ('', '')
+    assert values == reference(argv)
+
+
+SUBCOMMANDS = ("'check', 'report', 'pc-table', 'spec', 'downsets', "
+               "'envelope', 'sweep', 'dot'")
+THEOREM_CHOICES = ("'pc-space', 'stone', 'qccl-stone', 'heyting', 'root-forest', "
+                   "'collapse-min', 'collapse-max'")
+
+# the last line of stderr, as argparse printed it on Python 3.11
+REFUSED = [
+    ([], 'finspec: error: the following arguments are required: subcommand'),
+    (['--'], 'finspec: error: the following arguments are required: subcommand'),
+    (['nosuch', 'v3'], "finspec: error: argument subcommand: invalid choice: "
+                       "'nosuch' (choose from %s)" % SUBCOMMANDS),
+    (['--', 'check', 'v3'], "finspec: error: argument subcommand: invalid choice: "
+                            "'--' (choose from %s)" % SUBCOMMANDS),
+    (['--json', 'check', 'v3'], 'finspec: error: unrecognized arguments: --json'),
+    (['check'], 'finspec check: error: the following arguments are required: input'),
+    (['check', 'v3', 'extra'], 'finspec: error: unrecognized arguments: extra'),
+    (['check', 'v3', '--dot'], 'finspec: error: unrecognized arguments: --dot'),
+    (['dot', 'v3', '--json'], 'finspec: error: unrecognized arguments: --json'),
+    (['check', 'v3', '-x'], 'finspec: error: unrecognized arguments: -x'),
+    (['check', 'v3', '--json=yes'],
+     "finspec check: error: argument --json: ignored explicit argument 'yes'"),
+    (['report'], 'finspec report: error: the following arguments are required: '
+                 'theorem, input'),
+    (['report', 'stone'],
+     'finspec report: error: the following arguments are required: input'),
+    (['report', 'nope', 'v3'], "finspec report: error: argument theorem: invalid "
+                               "choice: 'nope' (choose from %s)" % THEOREM_CHOICES),
+    (['report', 'v3', 'stone'], "finspec report: error: argument theorem: invalid "
+                                "choice: 'v3' (choose from %s)" % THEOREM_CHOICES),
+    (['sweep'], 'finspec sweep: error: the following arguments are required: max_points'),
+    (['sweep', 'three'], "finspec sweep: error: argument max_points: invalid int "
+                         "value: 'three'"),
+    (['sweep', '-1.5'], "finspec sweep: error: argument max_points: invalid int "
+                        "value: '-1.5'"),
+    (['sweep', '3', '--mode', 'shuffled'],
+     "finspec sweep: error: argument --mode: invalid choice: 'shuffled' (choose "
+     "from 'labeled', 'unlabeled')"),
+    (['sweep', '3', '--mode'], 'finspec sweep: error: argument --mode: expected one argument'),
+    (['sweep', '3', '--mode', '--json'],
+     'finspec sweep: error: argument --mode: expected one argument'),
+    (['sweep', '3', '--jobs', 'two'],
+     "finspec sweep: error: argument --jobs: invalid int value: 'two'"),
+    (['sweep', '3', '--jobs='], "finspec sweep: error: argument --jobs: invalid int value: ''"),
+    (['sweep', '3', '--j', '2'],
+     'finspec sweep: error: ambiguous option: --j could match --jobs, --json'),
+    (['sweep', '--j=2', 'three'],                 # ambiguity is found first
+     'finspec sweep: error: ambiguous option: --j=2 could match --jobs, --json'),
+    (['sweep', '3', '--', '--json'], 'finspec: error: unrecognized arguments: --json'),
+    (['spec', 'v3', '--help=x'],
+     "finspec spec: error: argument -h/--help: ignored explicit argument 'x'"),
+    (['spec', 'v3', '-hx'],
+     "finspec spec: error: argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize('argv, last_line', REFUSED, ids=[' '.join(a) or '(none)' for a, _ in REFUSED])
+def test_table_refuses_as_argparse_did(reference, argv, last_line):
+    code, out, err = outcome(parse_args, argv)
+    assert code == 2 and out == ''
+    assert err.splitlines()[-1] == last_line
+    assert err.startswith('usage: finspec')
+    assert outcome(reference, argv) == (code, out, err)
+
+
+@pytest.mark.parametrize('argv', [
+    ['-h'], ['--help'], ['--he'], ['-x', '--help', 'check'],
+    ['check', '-h'], ['report', '--help'], ['pc-table', '-hh'], ['spec', '--h'],
+    ['downsets', 'v3', '-h'], ['envelope', '--dot', '--help'], ['dot', '-h', 'v3'],
+    ['sweep', '3', '--mode', 'labeled', '--help'],
+], ids=' '.join)
+def test_help_matches_argparse(reference, argv):
+    code, out, err = outcome(parse_args, argv)
+    assert code == 0 and err == '' and out.startswith('usage: finspec')
+    assert outcome(reference, argv) == (code, out, err)
+
+
+def test_a_value_of_two_dashes_is_kept(capsys):
+    # argparse dropped such a '--' and handed main an empty list, which
+    # crashed os.path.exists and the --mode lookup with a traceback
+    assert parse_args(['report', 'stone', '--', '--'])['input'] == '--'
+    code, out, err = run(capsys, 'report', 'stone', '--', '--')
+    assert code == 2 and out == ''
+    assert "no file or built-in structure named '--'" in err
+    code, out, err = outcome(main, ['sweep', '3', '--mode=--'])
+    assert code == 2 and out == ''
+    assert err.splitlines()[-1] == ("finspec sweep: error: argument --mode: invalid "
+                                    "choice: '--' (choose from 'labeled', 'unlabeled')")
