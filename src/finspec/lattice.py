@@ -98,20 +98,7 @@ class Lattice:
         self.bottom = found_bottom
         self.top = found_top
 
-        # None when the numbering is already a linear extension, which is
-        # what every internal construction produces and what lets the
-        # kernels read extrema off bit_length(); arbitrary numberings get
-        # explicit ranks.
-        self._pos = None
-        if any(self.down[i] >> (i + 1) for i in range(n)):
-            by_rank = sorted(range(n), key=lambda i: (kernels.popcount(self.down[i]), i))
-            pos = [0] * n
-            for rank, i in enumerate(by_rank):
-                pos[i] = rank
-            self._pos = pos
-
-        self._meet, self._join, missing = kernels.operation_tables(
-            self.down, self.up, self._pos)
+        self._meet, self._join, missing = kernels.operation_tables(self.down, self.up)
         if missing is not None:
             raise InputError('not a lattice: %d and %d have no %s' % missing)
 
@@ -180,7 +167,7 @@ class Lattice:
 
     @cached_property
     def _pseudocomplements(self):
-        return tuple(kernels.pseudocomplement_vector(self.down, self._pos, self.bottom))
+        return tuple(kernels.pseudocomplement_vector(self.down, self.bottom))
 
     def pseudocomplement(self, a):
         'Greatest element meeting a at bottom, or None when there is none.'
@@ -200,7 +187,7 @@ class Lattice:
 
     @cached_property
     def _implications(self):
-        return kernels.implication_index(self._meet, self.down, self._pos)
+        return kernels.implication_index(self._meet, self.down)
 
     def implication(self, a, b):
         'Greatest x with meet(a, x) <= b, or None; the relative pseudocomplement.'
@@ -218,7 +205,7 @@ class Lattice:
 
     @cached_property
     def _heyting_witness(self):
-        return kernels.heyting_witness(self._meet, self.down, self._pos)
+        return kernels.heyting_witness(self._meet, self.down)
 
     def is_heyting(self):
         return self._heyting_witness is None
@@ -267,7 +254,7 @@ class Lattice:
         Every ideal of a finite lattice is principal, so the scan walks
         principal down-sets and keeps the prime ones.
         '''
-        mask = kernels.prime_element_mask(self.down, self._pos)
+        mask = kernels.prime_element_mask(self.down)
         ideals = []
         rest = mask
         while rest:

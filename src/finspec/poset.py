@@ -337,12 +337,12 @@ class Poset:
 
     def is_inv_normal(self):
         'Exactly one minimal point below every point.'
-        return all(kernels.popcount(self.down[x] & self.minimal_mask) == 1
+        return all((self.down[x] & self.minimal_mask).bit_count() == 1
                    for x in range(self.n))
 
     def is_normal(self):
         'Exactly one maximal point above every point.'
-        return all(kernels.popcount(self.up[x] & self.maximal_mask) == 1
+        return all((self.up[x] & self.maximal_mask).bit_count() == 1
                    for x in range(self.n))
 
     # ------------------------------------------------------------------

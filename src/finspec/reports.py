@@ -138,7 +138,7 @@ def unique_min_below(poset, lattice):
     if poset.is_inv_normal():
         return True, None
     return False, next((x for x in range(poset.n)
-                        if kernels.popcount(poset.down[x] & poset.minimal_mask) != 1), None)
+                        if (poset.down[x] & poset.minimal_mask).bit_count() != 1), None)
 
 
 def min_map_spectral(poset, lattice):

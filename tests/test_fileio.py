@@ -202,9 +202,7 @@ def test_random_posets_round_trip_through_text_and_json(poset):
 
 
 @settings(max_examples=10, deadline=None)
-# renumbered lattices build their tables the slow way: the drawn ones stay
-# at 7 points (128 elements), and one example reaches 256
-@given(random_posets(max_points=7), st.randoms(use_true_random=False))
+@given(random_posets(max_points=8), st.randoms(use_true_random=False))
 @example(antichain(8), random.Random(0))
 def test_renumbered_downset_lattices_round_trip(poset, rng):
     lattice = downset_lattice(poset)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from finspec import kernels
+from finspec.duality import downset_lattice
 from finspec.errors import ResourceLimitError
 from finspec.lattice import Lattice
 from finspec.poset import Poset, are_isomorphic
+from test_fileio import random_posets
 from test_lattice import _table_cases
 
 
@@ -123,35 +125,34 @@ def test_lattice_helper_values_on_diamond():
     # B2: bottom 0, atoms 1 and 2, top 3
     down = [0b0001, 0b0011, 0b0101, 0b1111]
     up = [0b1111, 0b1010, 0b1100, 0b1000]
-    assert kernels.pseudocomplement_vector(down, None, 0) == [3, 2, 1, 0]
-    assert kernels.prime_element_mask(down, None) == 0b0110
-    meet, join, _ = kernels.operation_tables(down, up, None)
+    assert kernels.pseudocomplement_vector(down, 0) == [3, 2, 1, 0]
+    assert kernels.prime_element_mask(down) == 0b0110
+    meet, join, _ = kernels.operation_tables(down, up)
     # flat n*n table, entry a*n + b holding a -> b: (not a) | b on two atoms
-    table = kernels.implication_index(meet, down, None)
+    table = kernels.implication_index(meet, down)
     assert table[1 * 4 + 2] == 2
     assert table.tolist() == [3, 3, 3, 3,
                               2, 3, 2, 3,
                               1, 1, 3, 3,
                               0, 1, 2, 3]
     assert kernels.distributive_witness(meet, join, 4) is None
-    assert kernels.heyting_witness(meet, down, None) is None
+    assert kernels.heyting_witness(meet, down) is None
 
 
 def test_operation_tables():
     # B2 again: full tables on a lattice
     down = [0b0001, 0b0011, 0b0101, 0b1111]
     up = [0b1111, 0b1010, 0b1100, 0b1000]
-    meet, join, missing = kernels.operation_tables(down, up, None)
+    meet, join, missing = kernels.operation_tables(down, up)
     assert missing is None
     # flat n*n tables, entry a*n + b
     assert meet.tolist() == [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 2, 2, 0, 1, 2, 3]
     assert join.tolist() == [0, 1, 2, 3, 1, 1, 3, 3, 2, 3, 2, 3, 3, 3, 3, 3]
-    assert kernels.operation_tables(down, up, [0, 1, 2, 3]) == (meet, join, None)
     # one byte per entry up to 256 elements, two bytes above
     for k, code in ((256, 'B'), (257, 'H')):
         chain_down = [(2 << i) - 1 for i in range(k)]
         chain_up = [((1 << k) - 1) ^ ((1 << i) - 1) for i in range(k)]
-        meet, join, missing = kernels.operation_tables(chain_down, chain_up, None)
+        meet, join, missing = kernels.operation_tables(chain_down, chain_up)
         assert missing is None and meet.typecode == join.typecode == code
         assert len(meet) == len(join) == k * k
         assert (meet[(k - 1) * k + k - 2], join[(k - 1) * k + k - 2]) == (k - 2, k - 1)
@@ -159,12 +160,11 @@ def test_operation_tables():
     lam_down, lam_up = [0b001, 0b011, 0b101], [0b111, 0b010, 0b100]
     # 0 and 1 under 2: every join exists, 0 and 1 have no meet
     vee_down, vee_up = [0b001, 0b010, 0b111], [0b101, 0b110, 0b100]
-    for pos in (None, [0, 1, 2]):
-        assert kernels.operation_tables(lam_down, lam_up, pos) == (None, None, (1, 2, 'join'))
-        assert kernels.operation_tables(vee_down, vee_up, pos) == (None, None, (0, 1, 'meet'))
+    assert kernels.operation_tables(lam_down, lam_up) == (None, None, (1, 2, 'join'))
+    assert kernels.operation_tables(vee_down, vee_up) == (None, None, (0, 1, 'meet'))
 
 
-def test_lattice_helpers_respect_rank_positions():
+def test_lattice_helpers_on_any_numbering():
     # permute the diamond out of linear-extension order; expectations
     # derive from the canonical copy through the permutation itself
     base_down = [0b0001, 0b0011, 0b0101, 0b1111]
@@ -179,19 +179,56 @@ def test_lattice_helpers_respect_rank_positions():
                 down[perm[a]] |= 1 << perm[b]
             if base_up[a] >> b & 1:
                 up[perm[a]] |= 1 << perm[b]
-    pos = [0] * n
-    for a in range(n):
-        pos[perm[a]] = a
-    base_pc = kernels.pseudocomplement_vector(base_down, None, 0)
+    base_pc = kernels.pseudocomplement_vector(base_down, 0)
     want = [0] * n
     for a in range(n):
         want[perm[a]] = perm[base_pc[a]]
-    assert kernels.pseudocomplement_vector(down, pos, perm[0]) == want
-    meet, join, _ = kernels.operation_tables(down, up, pos)
+    assert kernels.pseudocomplement_vector(down, perm[0]) == want
+    meet, join, _ = kernels.operation_tables(down, up)
     assert kernels.distributive_witness(meet, join, n) is None
-    assert kernels.heyting_witness(meet, down, pos) is None
-    assert kernels.prime_element_mask(down, pos) == sum(
-        1 << perm[i] for i in range(n) if kernels.prime_element_mask(base_down, None) >> i & 1)
+    assert kernels.heyting_witness(meet, down) is None
+    assert kernels.prime_element_mask(down) == sum(
+        1 << perm[i] for i in range(n) if kernels.prime_element_mask(base_down) >> i & 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_posets(max_points=8), st.randoms(use_true_random=False))
+def test_renumbering_commutes_with_lattice_kernels(poset, rng):
+    # down-set lattices come numbered in a linear extension; renaming
+    # element a to perm[a] must rename every kernel result the same way
+    lat = downset_lattice(poset)
+    n = lat.n
+    perm = rng.sample(range(n), n)
+
+    def moved(rows):
+        out = [0] * n
+        for a, row in enumerate(rows):
+            for b in kernels.bit_indices(row):
+                out[perm[a]] |= 1 << perm[b]
+        return out
+
+    def mapped(table):
+        out = [-1] * (n * n)
+        for i, got in enumerate(table):
+            a, b = divmod(i, n)
+            out[perm[a] * n + perm[b]] = -1 if got < 0 else perm[got]
+        return out
+
+    base_meet, base_join, _ = kernels.operation_tables(lat.down, lat.up)
+    down, up = moved(lat.down), moved(lat.up)
+    meet, join, missing = kernels.operation_tables(down, up)
+    assert missing is None
+    assert meet.tolist() == mapped(base_meet)
+    assert join.tolist() == mapped(base_join)
+    base_pc = kernels.pseudocomplement_vector(lat.down, lat.bottom)
+    want_pc = [0] * n
+    for a, got in enumerate(base_pc):
+        want_pc[perm[a]] = perm[got]
+    assert kernels.pseudocomplement_vector(down, perm[lat.bottom]) == want_pc
+    assert (kernels.implication_index(meet, down).tolist()
+            == mapped(kernels.implication_index(base_meet, lat.down)))
+    assert kernels.prime_element_mask(down) == sum(
+        1 << perm[x] for x in kernels.bit_indices(kernels.prime_element_mask(lat.down)))
 
 
 def test_distributive_witness_on_byte_and_wide_tables():
@@ -279,8 +316,8 @@ def test_canonical_key_on_symmetric_sums():
         rng.shuffle(perm)
         assert kernels.canonical_key(_relabel(rows, perm)) == key
         assert kernels.canonical_key(key) == key
-        assert sorted(map(kernels.popcount, key)) == sorted(
-            map(kernels.popcount, rows))
+        assert sorted(map(int.bit_count, key)) == sorted(
+            map(int.bit_count, rows))
 
 
 def test_canonical_search_budget():
