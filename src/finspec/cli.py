@@ -14,6 +14,8 @@ prefix that names one flag (--j is ambiguous for sweep, which has --jobs
 and --json).  A repeated option keeps its last value, '--' ends the
 options, and -h or --help prints help, for the program or a subcommand.
 A bad argument exits 2 with a usage line and argparse's message.
+argparse itself is imported only to print help or a usage error: a
+parser built from COMMANDS renders them, and never parses.
 
 An input file must be UTF-8, or it exits 2 naming the first bad byte's
 offset; one longer than fileio.MAX_INPUT_BYTES (64 MiB) exits 3 unread.
@@ -63,10 +65,13 @@ def _plain(value):
 
 
 # ----------------------------------------------------------------------
-# subcommand bodies; each returns (exit_code, text)
+# subcommand bodies: each is called as run(structure, args), structure
+# being the input resolved (None for sweep) and args what parse_args
+# returned, and returns (exit_code, text)
 
 
-def _run_check(structure, source, as_json):
+def _run_check(structure, args):
+    source, as_json = args['input'], args['json']
     if isinstance(structure, Lattice):
         flags = [('distributive', structure.is_distributive()),
                  ('pseudocomplemented', structure.is_pseudocomplemented()),
@@ -97,13 +102,13 @@ def _run_check(structure, source, as_json):
     return 0, '\n'.join(lines) + '\n'
 
 
-def _run_report(structure, source, theorem, as_json):
+def _run_report(structure, args):
     poset = _need_poset(structure, 'report')
-    report = reports.theorem_report(poset, theorem)
+    report = reports.theorem_report(poset, args['theorem'])
     failed = report.hypothesis_satisfied and not report.agreement
-    if as_json:
+    if args['json']:
         payload = {
-            'schema': SCHEMA, 'command': 'report', 'input': source,
+            'schema': SCHEMA, 'command': 'report', 'input': args['input'],
             'theorem': report.theorem,
             'conditions': [{'label': c.label, 'holds': c.holds,
                             'group': c.group} for c in report.conditions],
@@ -126,17 +131,19 @@ def _run_report(structure, source, theorem, as_json):
     return (1 if failed else 0), '\n'.join(lines) + '\n'
 
 
-def _run_pc_table(structure, source, as_json):
-    if isinstance(structure, Poset):
-        lattice = downset_lattice(structure)
-    else:
-        lattice = structure
+def _lattice(structure):
+    'A lattice as it is, a poset as its down-set lattice.'
+    return downset_lattice(structure) if isinstance(structure, Poset) else structure
+
+
+def _run_pc_table(structure, args):
+    lattice = _lattice(structure)
     labels = [lattice.label(a) for a in range(lattice.n)]
     pcs = [lattice.pseudocomplement(a) for a in range(lattice.n)]
     imps = lattice.implication_table()
-    if as_json:
+    if args['json']:
         return 0, json.dumps({'schema': SCHEMA, 'command': 'pc-table',
-                              'input': source, 'elements': labels,
+                              'input': args['input'], 'elements': labels,
                               'pseudocomplement': pcs,
                               'implication': imps}, sort_keys=True) + '\n'
     width = max(3, max(len(s) for s in labels))
@@ -153,47 +160,46 @@ def _run_pc_table(structure, source, as_json):
     return 0, '\n'.join(lines) + '\n'
 
 
-def _structure_text(structure, as_json, as_dot):
-    if as_dot:
+def _structure_text(structure, args, **extra):
+    '''structure as DOT for --dot, else as JSON with extra for --json,
+    else as text.'''
+    if args['dot']:
         return fileio.to_dot(structure)
-    if as_json:
+    if args['json']:
         obj = fileio.to_json_obj(structure)
-        obj['schema'] = SCHEMA
+        obj.update(extra, schema=SCHEMA)
         return json.dumps(obj, sort_keys=True) + '\n'
     if isinstance(structure, Lattice):
         return fileio.lattice_to_text(structure)
     return fileio.poset_to_text(structure)
 
 
-def _run_spec(structure, as_json, as_dot):
-    lattice = (downset_lattice(structure) if isinstance(structure, Poset)
-               else structure)
-    return 0, _structure_text(spec_poset(lattice), as_json, as_dot)
+def _run_spec(structure, args):
+    return 0, _structure_text(spec_poset(_lattice(structure)), args)
 
 
-def _run_downsets(structure, as_json, as_dot):
+def _run_downsets(structure, args):
     poset = _need_poset(structure, 'downsets')
-    return 0, _structure_text(downset_lattice(poset), as_json, as_dot)
+    return 0, _structure_text(downset_lattice(poset), args)
 
 
-def _run_envelope(structure, as_json, as_dot):
-    poset = _need_poset(structure, 'envelope')
-    envelope, embedding = boolean_envelope(poset)
-    text = _structure_text(envelope, as_json, as_dot)
-    if as_json:
-        obj = json.loads(text)
-        obj['embedding'] = list(embedding)
-        return 0, json.dumps(obj, sort_keys=True) + '\n'
-    if not as_dot:
+def _run_envelope(structure, args):
+    envelope, embedding = boolean_envelope(_need_poset(structure, 'envelope'))
+    text = _structure_text(envelope, args, embedding=list(embedding))
+    if not (args['json'] or args['dot']):
         text += ''.join('# embed %d -> %d\n' % pair
                         for pair in enumerate(embedding))
     return 0, text
 
 
-def _run_sweep(max_points, mode, jobs, as_json):
-    summary = reports.sweep(max_points, mode=mode, jobs=jobs)
+def _run_dot(structure, args):
+    return 0, fileio.to_dot(structure)
+
+
+def _run_sweep(structure, args):
+    summary = reports.sweep(args['max_points'], mode=args['mode'], jobs=args['jobs'])
     code = 1 if summary.total_disagreements else 0
-    if as_json:
+    if args['json']:
         payload = {
             'schema': SCHEMA, 'command': 'sweep', 'mode': summary.mode,
             'max_points': summary.max_points,
@@ -230,129 +236,62 @@ def _run_sweep(max_points, mode, jobs, as_json):
 # ----------------------------------------------------------------------
 # argument wiring
 
-# The one table of subcommands: it parses argv, and renders the usage
-# lines and --help.  Per subcommand: its help, its positionals as (name,
-# help, kind) and its options as (flag, kind, default).  A kind is str,
-# int or a tuple of choices; an option of kind bool is a switch.
+# The one table of subcommands: it parses argv, renders the usage lines
+# and --help through _argparse, and names what runs each subcommand.  Per
+# subcommand: its help, its positionals as (name, help, kind), its options
+# as (flag, kind, default) and its body.  A kind is str, int or a tuple of
+# choices; an option of kind bool is a switch.
 _INPUT = ('input', 'file path or built-in name (v3, m3, chain4...)', str)
 _JSON = ('--json', bool, False)
 _DOT = ('--dot', bool, False)
 
 COMMANDS = {
-    'check': ('classification profile of a poset or lattice', (_INPUT,), (_JSON,)),
+    'check': ('classification profile of a poset or lattice', (_INPUT,), (_JSON,),
+              _run_check),
     'report': ('one cross-validation report',
-               (('theorem', None, reports.THEOREMS), ('input', None, str)), (_JSON,)),
-    'pc-table': ('pseudocomplement and implication tables', (_INPUT,), (_JSON,)),
-    'spec': ('prime spectrum poset of a lattice', (_INPUT,), (_JSON, _DOT)),
-    'downsets': ('down-set lattice of a poset', (_INPUT,), (_JSON, _DOT)),
-    'envelope': ('powerset envelope of a poset', (_INPUT,), (_JSON, _DOT)),
+               (('theorem', None, reports.THEOREMS), ('input', None, str)), (_JSON,),
+               _run_report),
+    'pc-table': ('pseudocomplement and implication tables', (_INPUT,), (_JSON,),
+                 _run_pc_table),
+    'spec': ('prime spectrum poset of a lattice', (_INPUT,), (_JSON, _DOT), _run_spec),
+    'downsets': ('down-set lattice of a poset', (_INPUT,), (_JSON, _DOT),
+                 _run_downsets),
+    'envelope': ('powerset envelope of a poset', (_INPUT,), (_JSON, _DOT),
+                 _run_envelope),
     'sweep': ('exhaustive agreement sweep', (('max_points', None, int),),
               (('--mode', tuple(enumeration.STREAMS), 'unlabeled'),
-               ('--jobs', int, 1), _JSON)),
-    'dot': ('Hasse diagram in DOT', (_INPUT,), ()),
+               ('--jobs', int, 1), _JSON), _run_sweep),
+    'dot': ('Hasse diagram in DOT', (_INPUT,), (), _run_dot),
 }
 
-_DESCRIPTION = ('Finite spectral spaces as posets: classification, '
-                'theorem cross-checks, duality, and sweeps.')
 _HELP = ('-h', '--help')
 
 
-def _metavar(name, kind):
-    return '{%s}' % ','.join(kind) if isinstance(kind, tuple) else name
-
-
-def _invocation(flag, kind):
-    return flag if kind is bool else '%s %s' % (flag, _metavar(flag[2:].upper(), kind))
-
-
-def _width():
-    '''The width argparse formats for: COLUMNS, else the size of the
-    terminal on stdout, else 80; minus 2.  Read without shutil, whose
-    import (bz2, lzma and fnmatch behind it) would cost more than help.'''
-    try:
-        columns = int(os.environ['COLUMNS'])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return (columns or 80) - 2
-
-
-def _fill(lines, parts, width, indent):
-    'lines with parts added greedily, each new line indented.'
-    for part in parts:
-        if lines and len(lines[-1]) + 1 + len(part) <= width:
-            lines[-1] += ' ' + part
-        else:
-            lines.append(indent + part)
-    return lines
-
-
-def _usage(command, width):
-    '''The usage line; past width, the options and then the positionals
-    wrap under the first one, as argparse wraps them.'''
-    if command is None:
-        prog, options = 'finspec', ['[-h]']
-        positionals = [_metavar(None, tuple(COMMANDS)), '...']
-    else:
-        _, entries, flags = COMMANDS[command]
-        prog = 'finspec ' + command
-        options = ['[-h]'] + ['[%s]' % _invocation(flag, kind) for flag, kind, _ in flags]
-        positionals = [_metavar(name, kind) for name, _, kind in entries]
-    line = ' '.join(['usage:', prog] + options + positionals)
-    if len(line) <= width:
-        return line
-    indent = ' ' * len('usage: %s ' % prog)
-    return '\n'.join(_fill(['usage: ' + prog], options, width, indent)
-                     + _fill([], positionals, width, indent))
-
-
-def _help(command, width):
-    'The --help text, laid out as argparse lays it out.'
-    import textwrap
-    blocks = [_usage(command, width)]
-    options = [(2, '-h, --help', 'show this help message and exit')]
-    if command is None:
-        blocks.append(textwrap.fill(_DESCRIPTION, max(width, 11)))
-        positionals = [(2, _metavar(None, tuple(COMMANDS)), None)]
-        positionals += [(4, name, entry[0]) for name, entry in COMMANDS.items()]
-    else:
-        _, entries, flags = COMMANDS[command]
-        positionals = [(2, _metavar(name, kind), text) for name, text, kind in entries]
-        options += [(2, _invocation(flag, kind), None) for flag, kind, _ in flags]
-    # argparse measures nested rows from the section's indent too
-    column = min(max(len(head) for _, head, _ in positionals + options) + 4,
-                 min(24, max(width - 20, 4)))
-
-    def rows(entries):
-        lines = []
-        for indent, head, text in entries:
-            head = ' ' * indent + head
-            if text is None:
-                lines.append(head)
-                continue
-            wrapped = textwrap.wrap(text, max(width - column, 11))
-            if len(head) + 2 <= column:
-                lines.append(head.ljust(column) + wrapped.pop(0))
+def _argparse(command):
+    '''The argparse parser of command (None for the program), built from
+    COMMANDS to print help or a usage error; it never parses.'''
+    import argparse
+    parsers = {None: argparse.ArgumentParser(
+        prog='finspec',
+        description='Finite spectral spaces as posets: classification, '
+                    'theorem cross-checks, duality, and sweeps.')}
+    sub = parsers[None].add_subparsers(dest='subcommand', required=True)
+    for name, (text, positionals, options, _) in COMMANDS.items():
+        parser = parsers[name] = sub.add_parser(name, help=text)
+        for arg, arg_help, kind in positionals:
+            parser.add_argument(arg, help=arg_help,
+                                choices=kind if isinstance(kind, tuple) else None)
+        for flag, kind, _ in options:
+            if kind is bool:
+                parser.add_argument(flag, action='store_true')
             else:
-                lines.append(head)
-            lines += [' ' * column + line for line in wrapped]
-        return '\n'.join(lines)
-
-    blocks += ['positional arguments:\n' + rows(positionals),
-               'options:\n' + rows(options)]
-    return '\n\n'.join(blocks) + '\n'
+                parser.add_argument(flag, choices=kind if isinstance(kind, tuple) else None)
+    return parsers[command]
 
 
 def _fail(command, message):
-    'The usage and the error on stderr, then exit 2, as argparse does.'
-    sys.stderr.write('%s\n%s: error: %s\n' % (
-        _usage(command, _width()),
-        'finspec' if command is None else 'finspec ' + command, message))
-    raise SystemExit(2)
+    'The usage and the error on stderr, then exit 2.'
+    _argparse(command).error(message)
 
 
 def _show_help(command, flag, value):
@@ -361,7 +300,7 @@ def _show_help(command, flag, value):
         rest = value.lstrip('h') if flag == '-h' else value
         if rest or not value:
             _fail(command, 'argument -h/--help: ignored explicit argument %r' % rest)
-    sys.stdout.write(_help(command, _width()))
+    _argparse(command).print_help()
     raise SystemExit(0)
 
 
@@ -411,7 +350,7 @@ def _convert(name, value, kind, command):
 
 def _parse_command(command, args):
     "The values of one subcommand's arguments, and the arguments left over."
-    _, positionals, options = COMMANDS[command]
+    _, positionals, options, _ = COMMANDS[command]
     kinds = {flag: kind for flag, kind, _ in options}
     flags = _HELP + tuple(kinds)
     values = {'subcommand': command}
@@ -498,28 +437,9 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    command, as_json = args['subcommand'], args.get('json')
     try:
-        if command == 'sweep':
-            code, text = _run_sweep(args['max_points'], args['mode'], args['jobs'],
-                                    as_json)
-        else:
-            source = args['input']
-            structure = _resolve(source)
-            if command == 'check':
-                code, text = _run_check(structure, source, as_json)
-            elif command == 'report':
-                code, text = _run_report(structure, source, args['theorem'], as_json)
-            elif command == 'pc-table':
-                code, text = _run_pc_table(structure, source, as_json)
-            elif command == 'spec':
-                code, text = _run_spec(structure, as_json, args['dot'])
-            elif command == 'downsets':
-                code, text = _run_downsets(structure, as_json, args['dot'])
-            elif command == 'envelope':
-                code, text = _run_envelope(structure, as_json, args['dot'])
-            else:
-                code, text = 0, fileio.to_dot(structure)
+        structure = _resolve(args['input']) if 'input' in args else None
+        code, text = COMMANDS[args['subcommand']][3](structure, args)
     except AgreementError as exc:
         print('finspec: agreement failure: %s' % exc, file=sys.stderr)
         return 1

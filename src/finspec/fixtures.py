@@ -12,7 +12,7 @@ import re
 from .duality import inclusion_lattice
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice
-from .poset import Poset
+from .poset import DOWNSET_CAP, Poset
 
 BOOL_MAX_ATOMS = 12
 
@@ -84,8 +84,17 @@ def builtin(name):
         return _PLAIN[key]()
     got = re.fullmatch(r'(chain|bool)(\d+)', key)
     if got:
-        k = int(got.group(2))
-        return chain_lattice(k) if got.group(1) == 'chain' else bool_lattice(k)
+        family, digits = got.groups()
+        digits = digits.lstrip('0') or '0'
+        cap, cap_name = ((DOWNSET_CAP, 'DOWNSET_CAP') if family == 'chain'
+                         else (BOOL_MAX_ATOMS, 'BOOL_MAX_ATOMS'))
+        # a k with more digits than its cap is past it: refused before int()
+        # reads it, as int() refuses more than 4,300 digits with a ValueError
+        if len(digits) > len(str(cap)):
+            raise ResourceLimitError('%s<k> capped at k = %d (%s), got a %d-digit k'
+                                     % (family, cap, cap_name, len(digits)))
+        k = int(digits)
+        return chain_lattice(k) if family == 'chain' else bool_lattice(k)
     raise InputError('unknown builtin structure %r' % (name,))
 
 

@@ -46,12 +46,19 @@ class SetLabels:
         return hash(self.masks)
 
 
+def _check_size(n):
+    if n > DOWNSET_CAP:
+        raise ResourceLimitError('lattice capped at %d elements (DOWNSET_CAP), got %d'
+                                 % (DOWNSET_CAP, n))
+
+
 class Lattice:
     'Immutable finite bounded lattice on elements 0..n-1.'
 
     def __init__(self, n, relation=(), bottom=None, top=None, labels=None):
         if not isinstance(n, int) or n < 1:
             raise InputError('a bounded lattice needs at least one element')
+        _check_size(n)  # before the order's closure, which is quadratic in n
         order = Poset(n, relation)
         self._adopt(order, bottom, top, labels)
 
@@ -61,14 +68,12 @@ class Lattice:
         self = object.__new__(cls)
         if not rows:
             raise InputError('a bounded lattice needs at least one element')
+        _check_size(len(rows))
         self._adopt(Poset.from_up_rows(rows), None, None, labels)
         return self
 
     def _adopt(self, order, bottom, top, labels):
         n = order.n
-        if n > DOWNSET_CAP:
-            raise ResourceLimitError('lattice capped at %d elements (DOWNSET_CAP), got %d'
-                                     % (DOWNSET_CAP, n))
         self.n = n
         self.up = order.up
         self.down = order.down

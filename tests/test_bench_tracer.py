@@ -5,7 +5,9 @@ refactor that renames or moves one of them makes install() raise or
 leaves a span that never fires; this runs a traced sweep in a fresh
 process and checks both.  Every report must be reached through the
 attribute the tracer wraps, and the caches install() hands back must
-still report their counters.
+still report their counters.  The subcommands that build down-set
+lattices and spectra must call them by the names the tracer wraps in
+the cli module too.
 '''
 
 import json
@@ -23,9 +25,13 @@ tracer = tracing.Tracer()
 caches = tracing.install(tracer)
 from finspec import cli
 with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (['pc-table', 'v3', '--json'],
+                                         ['spec', 'm3', '--json'],
+                                         ['downsets', 'v3', '--json'])]
+    by_cli = {name: row[0] for name, row in tracer.totals().items()}
     code = cli.main(['sweep', '3', '--json'])
 totals = tracer.totals()
-print(json.dumps({'code': code,
+print(json.dumps({'code': code, 'cli_codes': codes, 'by_cli': by_cli,
                   'calls': {name: row[0] for name, row in totals.items()},
                   'caches': tracing.cache_counts(caches)}))
 ''' % (str(ROOT / 'finbench'), str(ROOT / 'src'))
@@ -36,6 +42,11 @@ def test_traced_sweep_counts_every_layer():
                           text=True, timeout=120, cwd=str(ROOT))
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
+    assert got['cli_codes'] == [0, 0, 0]
+    # pc-table and downsets on a poset build one down-set lattice each;
+    # spec on a lattice takes its spectrum and builds none
+    assert got['by_cli'].get('duality.downset_lattice') == 2
+    assert got['by_cli'].get('duality.spec_poset') == 1
     assert got['code'] == 0
     for name in ('duality.qccl_lattice', 'duality.downset_lattice',
                  'lattice.construct', 'poset.induced',

@@ -103,8 +103,9 @@ def test_chain_and_bool_builtins_are_lattices(capsys):
         assert code == 2 and out == ''
         assert ('%s works on a poset, not a lattice (poset built-ins: '
                 'v3, l3, c2, a2, d4)' % argv[0]) in err
+    # leading zeros do not count towards the digit cap
     for argv in (('check', 'chain4'), ('pc-table', 'bool2'), ('spec', 'chain4'),
-                 ('dot', 'bool2')):
+                 ('dot', 'bool2'), ('check', 'chain' + '0' * 5000 + '4')):
         code, out, err = run(capsys, *argv)
         assert code == 0 and out and err == ''
 
@@ -176,6 +177,8 @@ def test_envelope_json(capsys):
     assert payload['schema'] == 1
     assert payload['size'] == 4
     assert payload['embedding'] == [0, 1, 3]
+    # --dot wins, as for spec and downsets
+    assert run(capsys, 'envelope', 'c2', '--json', '--dot') == run(capsys, 'envelope', 'c2', '--dot')
 
 
 def test_dot_subcommand(capsys):
@@ -349,6 +352,21 @@ def test_oversized_input_exits_three_at_once(capsys, tmp_path, text):
     assert 'size capped at %d (DOWNSET_CAP), got 1000000000' % DOWNSET_CAP in err
 
 
+@pytest.mark.parametrize('name, cap', [
+    ('chain4097', 'lattice capped at 4096 elements (DOWNSET_CAP), got 4097'),
+    ('chain' + '9' * 5000, 'chain<k> capped at k = 4096 (DOWNSET_CAP), got a 5000-digit k'),
+    ('bool' + '9' * 5000, 'bool<k> capped at k = 12 (BOOL_MAX_ATOMS), got a 5000-digit k'),
+], ids=['chain4097', 'chain-5000-digits', 'bool-5000-digits'])
+def test_builtin_sizes_past_the_caps_exit_three_at_once(capsys, name, cap):
+    # refused before the chain's order is closed, and before int() reads
+    # a k it would refuse with a ValueError
+    start = time.perf_counter()
+    code, out, err = run(capsys, 'check', name)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ''
+    assert err == 'finspec: resource limit: %s\n' % cap
+
+
 def test_resource_limits_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, 'check', 'bool13')
     assert code == 3 and 'resource limit' in err
@@ -443,9 +461,9 @@ print(json.dumps([imported, sorted(sys.modules)]))
 
 
 def test_import_path_leaves_out_dataclasses_and_shutil():
-    # module names only: the records are named tuples, the arguments are
-    # read from the command table, and help reads the terminal width
-    # without shutil
+    # module names only: the records are named tuples and the arguments
+    # are read from the command table; argparse, and shutil behind it, is
+    # imported only to print help or a usage error
     done = subprocess.run([sys.executable, '-S', '-c', IMPORT_PATH],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=SRC))
@@ -546,8 +564,9 @@ def outcome(parse, argv):
 
 
 @pytest.fixture
-def reference(monkeypatch):
-    monkeypatch.setenv('COLUMNS', '80')
+def reference(request, monkeypatch):
+    'The reference parser at COLUMNS 80, or at the width a test passes in.'
+    monkeypatch.setenv('COLUMNS', str(getattr(request, 'param', 80)))
     return lambda argv: vars(argparse_reference().parse_args(argv))
 
 
@@ -656,12 +675,22 @@ def test_table_refuses_as_argparse_did(reference, argv, last_line):
     assert outcome(reference, argv) == (code, out, err)
 
 
-@pytest.mark.parametrize('argv', [
+HELP_ARGVS = [
     ['-h'], ['--help'], ['--he'], ['-x', '--help', 'check'],
     ['check', '-h'], ['report', '--help'], ['pc-table', '-hh'], ['spec', '--h'],
     ['downsets', 'v3', '-h'], ['envelope', '--dot', '--help'], ['dot', '-h', 'v3'],
     ['sweep', '3', '--mode', 'labeled', '--help'],
-], ids=' '.join)
+]
+
+
+# below 33 columns argparse wraps the usage line and the help column its
+# own way; the width of 80 keeps the plain ids
+@pytest.mark.parametrize('argv, reference', [
+    (argv, columns) for columns in (80, 20, 28, 32) for argv in HELP_ARGVS
+], indirect=['reference'], ids=[
+    ' '.join(argv) + ('' if columns == 80 else ' COLUMNS=%d' % columns)
+    for columns in (80, 20, 28, 32) for argv in HELP_ARGVS
+])
 def test_help_matches_argparse(reference, argv):
     code, out, err = outcome(parse_args, argv)
     assert code == 0 and err == '' and out.startswith('usage: finspec')

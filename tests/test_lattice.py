@@ -186,6 +186,13 @@ def test_lattice_size_cap():
     with pytest.raises(ResourceLimitError, match='lattice capped at %d elements'
                        % DOWNSET_CAP):
         Lattice.from_up_rows([1] * (DOWNSET_CAP + 1))
+    # and before the order is closed: the relation is never read
+    def relation():
+        raise AssertionError('the relation was read')
+        yield
+
+    with pytest.raises(ResourceLimitError, match='got %d' % (DOWNSET_CAP + 1)):
+        Lattice(DOWNSET_CAP + 1, relation())
 
 
 def test_m3_has_no_prime_ideals():
