@@ -26,15 +26,31 @@ ENVELOPE_MAX_POINTS = 12
 
 
 def inclusion_lattice(masks):
-    'Sets under inclusion, element i being masks[i]; builds every lattice of sets.'
-    rows = []
-    for s in masks:
+    '''Sets under inclusion, element i being masks[i]; builds every lattice of sets.
+
+    The masks must be strictly ascending.  Then a set can lie inside
+    another only if it comes first, so one pass over the pairs i <= j
+    fills the up rows and the down rows together.
+    '''
+    n = len(masks)
+    up = [0] * n
+    down = [0] * n
+    bits = [1 << j for j in range(n)]
+    last = -1
+    for i, s in enumerate(masks):
+        if s <= last:
+            raise InputError('the sets of an inclusion lattice must be distinct '
+                             'and ascending: %d follows %d' % (s, last))
+        last = s
+        bit = bits[i]
         row = 0
-        for j, t in enumerate(masks):
-            if s & ~t == 0:
-                row |= 1 << j
-        rows.append(row)
-    return Lattice.from_up_rows(rows, labels=SetLabels(masks))
+        for j in range(i, n):
+            t = masks[j]
+            if s | t == t:
+                row |= bits[j]
+                down[j] |= bit
+        up[i] = row
+    return Lattice._from_rows(up, down, SetLabels(masks))
 
 
 @lru_cache(maxsize=8192)

@@ -11,13 +11,20 @@ and a down-closed set has a greatest element exactly when it is that
 element's down-set.  Down rows are distinct, so one dict {down[x]: x} per
 call answers each lookup, and up rows find least elements the same way.
 
-Meet and join come from the order alone.  operation_tables reads both
-off the order as flat n*n tables, entry a*n + b for the pair (a, b); the
-distributivity and Heyting checks take those tables as arguments.
+Meet and join come from the order alone.  meet_table reads the meet
+off down rows as a flat n*n table, entry a*n + b for the pair (a, b),
+and names the first pair without a meet; a finite bounded poset in which
+every pair has a meet is a lattice, so that one table validates.  Given
+up rows it reads the join table instead, the dual's meet table, which a
+lattice builds only when something first reads a join.  The
+distributivity and Heyting checks take the tables as arguments.
 distributive_witness scans one-byte tables a row at a time inside
 bytes.translate, a few C-level calls per row; its witness is still the
 first failing (a, b, c >= b), since both sides of the law are symmetric
 in b and c.  Two-byte tables (over 256 elements) take a Python loop.
+Each scan tests n**3 triples, so it first checks them against
+DISTRIBUTIVE_WORK_BUDGET (256**3 by default: no two-byte scan runs
+unless the budget is raised) and raises ResourceLimitError past it.
 
 One candidate-set pass, _candidate_tops, reads the meet table and the
 order, never the join table, for every a -> b (greatest x, a ^ x <= b).
@@ -344,20 +351,31 @@ def unlabeled_reps(n):
     return tuple(sorted(seen))
 
 
-def pseudocomplement_vector(down, bottom):
-    'Per element, the greatest disjoint partner, or -1 when absent.'
+def pseudocomplement_vector(down, up, bottom):
+    '''Per element, the greatest disjoint partner, or -1 when absent.
+
+    a ^ x is the bottom exactly when no atom lies below both, so the
+    partners of a are the elements above none of the atoms t <= a: the
+    complement of the union of up[t] over those atoms.
+    '''
     n = len(down)
+    full = (1 << n) - 1
     index = {row: x for x, row in enumerate(down)}
     bot = 1 << bottom
+    atoms = 0
+    for t, row in enumerate(down):
+        if row ^ 1 << t == bot:
+            atoms |= 1 << t
     out = []
-    for a in range(n):
-        da = down[a]
-        cand = 0
-        for x in range(n):
-            if da & down[x] == bot:
-                cand |= 1 << x
+    for row in down:
+        above = 0
+        rest = row & atoms
+        while rest:
+            low = rest & -rest
+            above |= up[low.bit_length() - 1]
+            rest ^= low
         # the disjoint partners are down-closed
-        out.append(index.get(cand, -1))
+        out.append(index.get(full & ~above, -1))
     return out
 
 
@@ -407,37 +425,47 @@ def prime_element_mask(down):
     return out
 
 
-def operation_tables(down, up):
-    '''Meet and join tables read off the order, as (meet, join, None).
+def meet_table(down):
+    '''Meet table read off down rows, as (table, missing).
 
-    Each table is a flat array of n*n entries, meet(a, b) at a*n + b, with
-    typecode 'B' up to 256 elements and 'H' above.  When some pair lacks
-    a bound, returns (None, None, (a, b, kind)) instead, for the first
-    pair a < b in row order, kind 'meet' or 'join'; a missing meet is
-    reported before a missing join.
+    table is a flat array of n*n entries, meet(a, b) at a*n + b, with
+    typecode 'B' up to 256 elements and 'H' above, and missing is None.
+    When some pair has no meet, returns (None, (a, b)) instead, for the
+    first such pair a < b in row order.  Up rows give the join table.
     '''
     n = len(down)
     code = 'B' if n <= 256 else 'H'
     meet = array(code, [0]) * (n * n)
-    join = array(code, [0]) * (n * n)
-    # the common lower (upper) bounds are down- (up-) closed, so the meet
-    # (join) is the element whose own down-set (up-set) they are, if any
-    below = {row: x for x, row in enumerate(down)}
-    above = {row: x for x, row in enumerate(up)}
+    # the common lower bounds are down-closed, so the meet is the element
+    # whose own down-set they are, if any
+    get = {row: x for x, row in enumerate(down)}.get
     for a in range(n):
-        da, ua = down[a], up[a]
-        row = a * n
-        meet[row + a] = join[row + a] = a
-        for b in range(a + 1, n):
-            m = below.get(da & down[b], -1)
-            if m < 0:
-                return None, None, (a, b, 'meet')
-            j = above.get(ua & up[b], -1)
-            if j < 0:
-                return None, None, (a, b, 'join')
-            meet[row + b] = meet[b * n + a] = m
-            join[row + b] = join[b * n + a] = j
-    return meet, join, None
+        da = down[a]
+        # the meets of a with a..n-1 fill row a from the diagonal on and,
+        # the meet being symmetric, column a from the diagonal down
+        got = [get(da & db, -1) for db in down[a:]]
+        if -1 in got:
+            return None, (a, a + got.index(-1))
+        got = array(code, got)
+        start = a * n + a
+        meet[start:start + n - a] = got
+        meet[start::n] = got
+    return meet, None
+
+
+# Most triples one distributive_witness call may test: n**3 for n
+# elements.  Every lattice of up to 256 elements, so every one-byte table
+# and every down-set lattice of a sweep up to 8 points, stays inside it.
+# A sweep that has timed larger scans may raise it.
+DISTRIBUTIVE_WORK_BUDGET = 256 ** 3
+
+
+def distributive_work_check(n):
+    'Raise ResourceLimitError when a distributivity scan of n elements is past budget.'
+    if n ** 3 > DISTRIBUTIVE_WORK_BUDGET:
+        raise ResourceLimitError(
+            'distributivity scan of %d elements tests %d triples, past '
+            'DISTRIBUTIVE_WORK_BUDGET (%d)' % (n, n ** 3, DISTRIBUTIVE_WORK_BUDGET))
 
 
 def distributive_witness(meet, join, n):
@@ -455,8 +483,10 @@ def distributive_witness(meet, join, n):
     row-major mismatch (b, c) has c >= b: a mismatch with c < b would
     repeat at (c, b), earlier.  That is the triple the loop order above
     finds first.  translate cannot map values above 255, so 'H' tables
-    take a Python loop over the same triples.
+    take a Python loop over the same triples.  Past
+    DISTRIBUTIVE_WORK_BUDGET it raises ResourceLimitError before any scan.
     '''
+    distributive_work_check(n)
     if meet.typecode == 'B':
         pad = bytes(256 - n)
         meets, joins = meet.tobytes(), join.tobytes()

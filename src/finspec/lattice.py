@@ -1,15 +1,17 @@
 '''Finite bounded lattices specified by their order alone.
 
 The constructor closes the relation, checks antisymmetry, locates bottom
-and top, and verifies that every pair of elements has a greatest lower
-and least upper bound by building the meet and join tables from the
-order.  Those two tables are the single source of truth for meet and
-join: the lattice keeps them, and meet, join and the distributivity,
-Stone, Heyting and join-irreducible checks read them.  The
-implications come from the candidate-set pass over the meet table that
-the Heyting check runs: the whole a -> b table is built in one pass the
-first time implication is asked for, and never on the verdict path.  The
-pseudocomplements, prime ideals and is_boolean read the order masks
+and top, and validates by building the meet table from the order: a
+finite bounded poset in which every pair has a meet is a lattice, so the
+join table is not needed for that.  It is built on first read, as the
+meet table of the dual order; only when validation fails is it built at
+once, to name the first pair that lacks either bound.  Those two tables
+are the single source of truth for meet and join: meet, join and the
+distributivity, Stone, Heyting and join-irreducible checks read them.
+The implications come from the candidate-set pass over the meet table
+that the Heyting check runs: the whole a -> b table is built in one pass
+the first time implication is asked for, and never on the verdict path.
+The pseudocomplements, prime ideals and is_boolean read the order masks
 (down and up rows) instead, by their definitions in terms of the order.
 A lattice has at most DOWNSET_CAP elements.  Absent values (a
 pseudocomplement or implication that does not exist) come back as None,
@@ -60,24 +62,30 @@ class Lattice:
             raise InputError('a bounded lattice needs at least one element')
         _check_size(n)  # before the order's closure, which is quadratic in n
         order = Poset(n, relation)
-        self._adopt(order, bottom, top, labels)
+        self._adopt(order.up, order.down, bottom, top, labels)
 
     @classmethod
     def from_up_rows(cls, rows, labels=None):
         'Constructor from closed row masks; still validates lattice-ness.'
+        _check_size(len(rows))  # before the transpose
+        return cls._from_rows(rows, kernels.transpose(rows), labels)
+
+    @classmethod
+    def _from_rows(cls, up, down, labels):
+        'Constructor from closed up rows and their transpose, down.'
         self = object.__new__(cls)
-        if not rows:
+        if not up:
             raise InputError('a bounded lattice needs at least one element')
-        _check_size(len(rows))
-        self._adopt(Poset.from_up_rows(rows), None, None, labels)
+        _check_size(len(up))
+        self._adopt(up, down, None, None, labels)
         return self
 
-    def _adopt(self, order, bottom, top, labels):
-        n = order.n
+    def _adopt(self, up, down, bottom, top, labels):
+        n = len(up)
         self.n = n
-        self.up = order.up
-        self.down = order.down
-        self.full = order.full
+        self.up = tuple(up)
+        self.down = tuple(down)
+        self.full = (1 << n) - 1
         if labels is not None and len(labels) != n:
             raise InputError('need %d labels, got %d' % (n, len(labels)))
         if labels is not None and not isinstance(labels, SetLabels):
@@ -103,9 +111,18 @@ class Lattice:
         self.bottom = found_bottom
         self.top = found_top
 
-        self._meet, self._join, missing = kernels.operation_tables(self.down, self.up)
+        self._meet, missing = kernels.meet_table(self.down)
         if missing is not None:
-            raise InputError('not a lattice: %d and %d have no %s' % missing)
+            # a bounded poset with every join has every meet, so some pair
+            # lacks a join too; name whichever pair comes first
+            _, no_join = kernels.meet_table(self.up)
+            if no_join < missing:
+                raise InputError('not a lattice: %d and %d have no join' % no_join)
+            raise InputError('not a lattice: %d and %d have no meet' % missing)
+
+    @cached_property
+    def _join(self):
+        return kernels.meet_table(self.up)[0]
 
     def __reduce__(self):
         return (Lattice.from_up_rows, (self.up, self.labels))
@@ -154,13 +171,14 @@ class Lattice:
 
     def dual(self):
         'Order dual; swaps meet with join and bottom with top.'
-        return Lattice.from_up_rows(self.down, labels=self.labels)
+        return Lattice._from_rows(self.down, self.up, self.labels)
 
     # ------------------------------------------------------------------
     # derived algebraic structure
 
     @cached_property
     def _distributive_witness(self):
+        kernels.distributive_work_check(self.n)  # before the join table is built
         return kernels.distributive_witness(self._meet, self._join, self.n)
 
     def is_distributive(self):
@@ -172,7 +190,7 @@ class Lattice:
 
     @cached_property
     def _pseudocomplements(self):
-        return tuple(kernels.pseudocomplement_vector(self.down, self.bottom))
+        return tuple(kernels.pseudocomplement_vector(self.down, self.up, self.bottom))
 
     def pseudocomplement(self, a):
         'Greatest element meeting a at bottom, or None when there is none.'

@@ -1,0 +1,110 @@
+'''CPU time of the lattice layers, each in a fresh process, as JSON.
+
+    python3 -S tests/layer_times.py [--points 7] [--repeat 3] [--sweep]
+
+Run from anywhere; finspec is imported from the src directory next to
+this file.  The inputs are every isomorphism class of up to --points
+points and the dual of each, enumerated before the clock starts.  Each
+layer runs --repeat times, every time in a new interpreter, so no
+lru_cache carries over from one run to the next:
+
+- downset_lattice: build the down-set lattice of every input from its
+  down-set masks (duality.inclusion_lattice, no cache in between);
+- downset_lattice+join: the same builds, then one join read on each
+  lattice, which is what classify costs on top of a build;
+- pseudocomplement_vector: is_pseudocomplemented on every lattice
+  built before the clock starts, one kernel call each;
+- closed_subspaces_pc: the heyting reading on every input, with cold
+  report caches;
+- sweep (only with --sweep): reports.sweep(--points), the end-to-end run.
+
+The last line of stdout is one JSON object: per layer, the CPU seconds
+of each run (time.process_time of the child) and their median, plus the
+Python version and the input count.  Standard library only.
+'''
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / 'src'
+LAYERS = ('downset_lattice', 'downset_lattice+join', 'pseudocomplement_vector',
+          'closed_subspaces_pc')
+
+
+def _inputs(points):
+    from finspec import kernels
+    from finspec.poset import Poset
+    out = []
+    for n in range(points + 1):
+        for rows in kernels.unlabeled_reps(n):
+            poset = Poset.from_up_rows(rows)
+            out += [poset, poset.dual()]
+    return out
+
+
+def _child(layer, points):
+    'Run one layer in this process; return (CPU seconds, input count).'
+    sys.path.insert(0, str(SRC))
+    from finspec import duality, reports
+    if layer == 'sweep':
+        start = time.process_time()
+        reports.sweep(points)
+        return time.process_time() - start, None
+    posets = _inputs(points)
+    masks = [poset.downset_masks_all for poset in posets]
+    if layer == 'pseudocomplement_vector':
+        lattices = [duality.inclusion_lattice(m) for m in masks]
+        start = time.process_time()
+        for lat in lattices:
+            lat.is_pseudocomplemented()
+    elif layer == 'closed_subspaces_pc':
+        start = time.process_time()
+        for poset in posets:
+            reports.closed_subspaces_pc(poset, None)
+    else:
+        start = time.process_time()
+        lattices = [duality.inclusion_lattice(m) for m in masks]
+        if layer == 'downset_lattice+join':
+            for lat in lattices:
+                lat.join(0, 0)
+    return time.process_time() - start, len(posets)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split('\n\n')[0])
+    parser.add_argument('--points', type=int, default=7)
+    parser.add_argument('--repeat', type=int, default=3)
+    parser.add_argument('--sweep', action='store_true',
+                        help='also time reports.sweep(--points)')
+    parser.add_argument('--child', help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(_child(args.child, args.points)))
+        return 0
+    layers = LAYERS + ('sweep',) * args.sweep
+    out = {'python': platform.python_version(), 'points': args.points, 'layers': {}}
+    for layer in layers:
+        runs = []
+        for _ in range(args.repeat):
+            done = subprocess.run(
+                [sys.executable, '-S', __file__, '--child', layer,
+                 '--points', str(args.points)],
+                capture_output=True, text=True, check=True)
+            seconds, count = json.loads(done.stdout)
+            runs.append(round(seconds, 4))
+            if count is not None:
+                out['inputs'] = count
+        out['layers'][layer] = {'runs': runs, 'median_s': statistics.median(runs)}
+        print(layer, runs, file=sys.stderr)
+    print(json.dumps(out, sort_keys=True))
+    return 0
+
+
+if __name__ == '__main__':
+    sys.exit(main())

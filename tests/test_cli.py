@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from finspec import fileio, reports
+from finspec import fileio, kernels, reports
 from finspec.cli import main, parse_args
 from finspec.fileio import lattice_to_text, poset_to_text
 from finspec.duality import ENVELOPE_MAX_POINTS, downset_lattice
@@ -365,6 +365,29 @@ def test_builtin_sizes_past_the_caps_exit_three_at_once(capsys, name, cap):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ''
     assert err == 'finspec: resource limit: %s\n' % cap
+
+
+def test_distributivity_scan_past_the_work_budget_exits_three(capsys, monkeypatch):
+    # bool8 has 256 elements, 256**3 triples: at that budget it runs, one
+    # below it is refused before the scan starts, naming the budget
+    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3)
+    code, out, err = run(capsys, 'check', 'bool8')
+    assert code == 0 and '  distributive         true' in out and err == ''
+    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3 - 1)
+    code, out, err = run(capsys, 'check', 'bool8')
+    assert code == 3 and out == ''
+    assert err == ('finspec: resource limit: distributivity scan of 256 elements tests '
+                   '16777216 triples, past DISTRIBUTIVE_WORK_BUDGET (16777215)\n')
+
+
+def test_default_work_budget_refuses_bool9_without_a_scan(capsys, monkeypatch):
+    assert kernels.DISTRIBUTIVE_WORK_BUDGET == 256 ** 3
+    scans = []
+    monkeypatch.setattr(kernels, 'distributive_witness', lambda *args: scans.append(args))
+    code, out, err = run(capsys, 'check', 'bool9')
+    assert code == 3 and out == '' and scans == []
+    assert 'distributivity scan of 512 elements' in err
+    assert 'DISTRIBUTIVE_WORK_BUDGET' in err
 
 
 def test_resource_limits_exit_three(capsys, tmp_path):

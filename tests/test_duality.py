@@ -36,6 +36,16 @@ def test_set_labels_are_formatted_when_read():
         Lattice(4, [(0, 1), (1, 2), (2, 3)], labels=lat.labels)
 
 
+def test_inclusion_lattice_refuses_repeated_or_unsorted_sets():
+    # element 1 and 2 would each lie below the other
+    with pytest.raises(InputError, match='distinct and ascending: 1 follows 1$'):
+        duality.inclusion_lattice([0, 1, 1, 3])
+    with pytest.raises(InputError, match='distinct and ascending: 1 follows 2$'):
+        duality.inclusion_lattice((0, 2, 1, 3))
+    lat = duality.inclusion_lattice((0, 1, 2, 3))
+    assert lat.n == 4 and lat.meet(1, 2) == 0 and lat.join(1, 2) == 3
+
+
 def test_downset_lattice_is_cached():
     assert downset_lattice(v3()) is downset_lattice(v3())
 

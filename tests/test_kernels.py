@@ -125,9 +125,9 @@ def test_lattice_helper_values_on_diamond():
     # B2: bottom 0, atoms 1 and 2, top 3
     down = [0b0001, 0b0011, 0b0101, 0b1111]
     up = [0b1111, 0b1010, 0b1100, 0b1000]
-    assert kernels.pseudocomplement_vector(down, 0) == [3, 2, 1, 0]
+    assert kernels.pseudocomplement_vector(down, up, 0) == [3, 2, 1, 0]
     assert kernels.prime_element_mask(down) == 0b0110
-    meet, join, _ = kernels.operation_tables(down, up)
+    meet, join = kernels.meet_table(down)[0], kernels.meet_table(up)[0]
     # flat n*n table, entry a*n + b holding a -> b: (not a) | b on two atoms
     table = kernels.implication_index(meet, down)
     assert table[1 * 4 + 2] == 2
@@ -139,12 +139,12 @@ def test_lattice_helper_values_on_diamond():
     assert kernels.heyting_witness(meet, down) is None
 
 
-def test_operation_tables():
-    # B2 again: full tables on a lattice
+def test_meet_table_on_down_and_up_rows():
+    # B2 again: full tables on a lattice; up rows give the join table
     down = [0b0001, 0b0011, 0b0101, 0b1111]
     up = [0b1111, 0b1010, 0b1100, 0b1000]
-    meet, join, missing = kernels.operation_tables(down, up)
-    assert missing is None
+    (meet, missing), (join, no_join) = kernels.meet_table(down), kernels.meet_table(up)
+    assert missing is None and no_join is None
     # flat n*n tables, entry a*n + b
     assert meet.tolist() == [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 2, 2, 0, 1, 2, 3]
     assert join.tolist() == [0, 1, 2, 3, 1, 1, 3, 3, 2, 3, 2, 3, 3, 3, 3, 3]
@@ -152,16 +152,20 @@ def test_operation_tables():
     for k, code in ((256, 'B'), (257, 'H')):
         chain_down = [(2 << i) - 1 for i in range(k)]
         chain_up = [((1 << k) - 1) ^ ((1 << i) - 1) for i in range(k)]
-        meet, join, missing = kernels.operation_tables(chain_down, chain_up)
-        assert missing is None and meet.typecode == join.typecode == code
+        (meet, missing), (join, no_join) = (kernels.meet_table(chain_down),
+                                            kernels.meet_table(chain_up))
+        assert missing is None and no_join is None
+        assert meet.typecode == join.typecode == code
         assert len(meet) == len(join) == k * k
         assert (meet[(k - 1) * k + k - 2], join[(k - 1) * k + k - 2]) == (k - 2, k - 1)
     # 0 under 1 and 2: every meet exists, 1 and 2 have no join
     lam_down, lam_up = [0b001, 0b011, 0b101], [0b111, 0b010, 0b100]
     # 0 and 1 under 2: every join exists, 0 and 1 have no meet
     vee_down, vee_up = [0b001, 0b010, 0b111], [0b101, 0b110, 0b100]
-    assert kernels.operation_tables(lam_down, lam_up) == (None, None, (1, 2, 'join'))
-    assert kernels.operation_tables(vee_down, vee_up) == (None, None, (0, 1, 'meet'))
+    assert kernels.meet_table(lam_down)[1] is None
+    assert kernels.meet_table(lam_up) == (None, (1, 2))
+    assert kernels.meet_table(vee_down) == (None, (0, 1))
+    assert kernels.meet_table(vee_up)[1] is None
 
 
 def test_lattice_helpers_on_any_numbering():
@@ -179,12 +183,12 @@ def test_lattice_helpers_on_any_numbering():
                 down[perm[a]] |= 1 << perm[b]
             if base_up[a] >> b & 1:
                 up[perm[a]] |= 1 << perm[b]
-    base_pc = kernels.pseudocomplement_vector(base_down, 0)
+    base_pc = kernels.pseudocomplement_vector(base_down, base_up, 0)
     want = [0] * n
     for a in range(n):
         want[perm[a]] = perm[base_pc[a]]
-    assert kernels.pseudocomplement_vector(down, perm[0]) == want
-    meet, join, _ = kernels.operation_tables(down, up)
+    assert kernels.pseudocomplement_vector(down, up, perm[0]) == want
+    meet, join = kernels.meet_table(down)[0], kernels.meet_table(up)[0]
     assert kernels.distributive_witness(meet, join, n) is None
     assert kernels.heyting_witness(meet, down) is None
     assert kernels.prime_element_mask(down) == sum(
@@ -214,17 +218,17 @@ def test_renumbering_commutes_with_lattice_kernels(poset, rng):
             out[perm[a] * n + perm[b]] = -1 if got < 0 else perm[got]
         return out
 
-    base_meet, base_join, _ = kernels.operation_tables(lat.down, lat.up)
+    base_meet, base_join = kernels.meet_table(lat.down)[0], kernels.meet_table(lat.up)[0]
     down, up = moved(lat.down), moved(lat.up)
-    meet, join, missing = kernels.operation_tables(down, up)
-    assert missing is None
+    (meet, missing), (join, no_join) = kernels.meet_table(down), kernels.meet_table(up)
+    assert missing is None and no_join is None
     assert meet.tolist() == mapped(base_meet)
     assert join.tolist() == mapped(base_join)
-    base_pc = kernels.pseudocomplement_vector(lat.down, lat.bottom)
+    base_pc = kernels.pseudocomplement_vector(lat.down, lat.up, lat.bottom)
     want_pc = [0] * n
     for a, got in enumerate(base_pc):
         want_pc[perm[a]] = perm[got]
-    assert kernels.pseudocomplement_vector(down, perm[lat.bottom]) == want_pc
+    assert kernels.pseudocomplement_vector(down, up, perm[lat.bottom]) == want_pc
     assert (kernels.implication_index(meet, down).tolist()
             == mapped(kernels.implication_index(base_meet, lat.down)))
     assert kernels.prime_element_mask(down) == sum(

@@ -369,6 +369,50 @@ def test_constructor_names_first_missing_bound():
         Lattice(8, crown)
 
 
+def test_pseudocomplements_of_bounded_orders_match_scan():
+    # the same bounded orders: the atom route of pseudocomplement_vector
+    # against a scan, on lattices that are neither distributive nor
+    # pseudocomplemented as well as on those that are
+    rng = random.Random(5)
+    kinds = set()
+    for k in range(5):
+        for rows in kernels.labeled_stream(k):
+            n = k + 2
+            rel = {(i + 1, j + 1) for i, j in bf.rel_of_rows(rows)}
+            rel |= {(0, x) for x in range(n)} | {(x, n - 1) for x in range(n)}
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for order in (rel, _renumbered(rel, perm)):
+                if bf.first_missing_bound(n, order) is not None:
+                    continue
+                lat = Lattice(n, sorted(order))
+                want = [bf.pseudocomplement_by_scan(lat, a) for a in range(n)]
+                got = kernels.pseudocomplement_vector(lat.down, lat.up, lat.bottom)
+                assert got == [-1 if x is None else x for x in want]
+                kinds.add((lat.is_distributive(), None not in want))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_subspace_lattices_never_build_a_join_table(monkeypatch):
+    # the pc-space reports of heyting's closed subspaces read pseudocomplements
+    # only, so their lattices stop at the meet table validation built
+    for fn in (pc_space_report, heyting_report, duality._downset_lattice_cached):
+        fn.cache_clear()
+    built = []
+    adopt = Lattice._adopt
+
+    def recording(self, *args):
+        adopt(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Lattice, '_adopt', recording)
+    poset = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5)])
+    assert heyting_report(poset).all_true
+    subspaces = [lat for lat in built if lat is not downset_lattice(poset)]
+    assert len(subspaces) > 10
+    assert not any('_join' in vars(lat) for lat in subspaces)
+
+
 def test_lattice_keeps_its_operation_tables():
     # a fresh down-set lattice, so no other test has filled its caches: it
     # keeps its order, the two flat n*n tables its validation built, and
@@ -392,22 +436,23 @@ def test_lattice_keeps_its_operation_tables():
 
 
 def test_one_table_build_per_lattice(monkeypatch):
-    # validation builds the tables; classify, is_stone, meet and join only
-    # read them (the parent built them three times: to validate, and again
-    # for the distributivity and the Heyting checks)
+    # validation builds the meet table and the first join read the join
+    # table; classify, is_stone, meet and join only read them after that
     built = []
-    build = kernels.operation_tables
-    monkeypatch.setattr(kernels, 'operation_tables',
+    build = kernels.meet_table
+    monkeypatch.setattr(kernels, 'meet_table',
                         lambda *args: built.append(args) or build(*args))
     duality._downset_lattice_cached.cache_clear()
     poset = Poset(4, [(0, 2), (1, 2), (1, 3)])
     lat = downset_lattice(poset)
+    assert built == [(lat.down,)]
     assert classify(poset).stone == lat.is_stone()
+    assert built == [(lat.down,), (lat.up,)]
     for a in range(lat.n):
         for b in range(lat.n):
             assert lat.leq(lat.meet(a, b), a) and lat.leq(a, lat.join(a, b))
     assert downset_lattice(poset) is lat
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 def test_one_implication_pass_per_lattice(monkeypatch, capsys):
