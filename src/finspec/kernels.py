@@ -379,48 +379,21 @@ def pseudocomplement_vector(down, up, bottom):
     return out
 
 
-def prime_element_mask(down):
+def prime_element_mask(down, up):
     '''Mask of elements x whose principal down-set is a proper prime ideal.
 
-    Every ideal of a finite lattice is principal, so scanning principal
-    down-sets scans all ideals.  An element with two or more upper covers
-    meets them back to itself and can never be prime, which keeps the
-    pair scan off most candidates.
+    Every ideal and every filter of a finite lattice is principal
+    (Davey & Priestley, Introduction to Lattices and Order, 2002, ch. 2).
+    A proper ideal is prime exactly when its complement is a filter, so
+    down[x] is prime exactly when the elements outside it are some
+    element's up row: one set lookup per element.  The top's complement
+    is empty and no up row is, so the top is never prime.
     '''
-    n = len(down)
-    full = (1 << n) - 1
+    full = (1 << len(down)) - 1
+    filters = set(up)
     out = 0
-    for x in range(n):
-        if down[x] == full:
-            continue
-        above = 0
-        for y in range(n):
-            if y != x and down[y] >> x & 1:
-                above |= 1 << y
-        covers = 0
-        rest = above
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            if down[y] & above == low:
-                covers |= low
-                if covers != low:
-                    break
-            rest ^= low
-        if covers.bit_count() > 1:
-            continue
-        outside = bit_indices(full & ~down[x])
-        notx = ~down[x]
-        prime = True
-        for ai in range(len(outside)):
-            da = down[outside[ai]]
-            for bi in range(ai, len(outside)):
-                if da & down[outside[bi]] & notx == 0:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
+    for x, row in enumerate(down):
+        if full & ~row in filters:
             out |= 1 << x
     return out
 

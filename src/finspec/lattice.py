@@ -7,12 +7,22 @@ join table is not needed for that.  It is built on first read, as the
 meet table of the dual order; only when validation fails is it built at
 once, to name the first pair that lacks either bound.  Those two tables
 are the single source of truth for meet and join: meet, join and the
-distributivity, Stone, Heyting and join-irreducible checks read them.
-The implications come from the candidate-set pass over the meet table
-that the Heyting check runs: the whole a -> b table is built in one pass
-the first time implication is asked for, and never on the verdict path.
-The pseudocomplements, prime ideals and is_boolean read the order masks
-(down and up rows) instead, by their definitions in terms of the order.
+distributivity, Stone and Heyting checks read them.  The implications
+come from the candidate-set pass over the meet table that the Heyting
+check runs: the whole a -> b table is built in one pass the first time
+implication is asked for, and never on the verdict path.  The
+pseudocomplements and is_boolean read the order masks (down and up rows)
+instead, by their definitions in terms of the order.
+
+The ideal layer reads the order rows too.  Every ideal and every filter
+of a finite lattice is principal, so a set of elements is an ideal
+exactly when it is some element's down row, and a proper ideal is prime
+exactly when its complement is some element's up row.  An element is
+join-irreducible exactly when it covers one other, so join_irreducibles
+reads the lower covers.  Two ideals with greatest elements p and q hold
+a pair joining to the top exactly when p v q is the top, so the
+coprimality check reads one join per pair of minimal primes and nothing
+else in the ideal layer builds the join table.
 A lattice has at most DOWNSET_CAP elements.  Absent values (a
 pseudocomplement or implication that does not exist) come back as None,
 never as an error.
@@ -21,7 +31,7 @@ never as an error.
 from functools import cached_property
 
 from . import kernels
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, PreconditionError, ResourceLimitError
 from .poset import DOWNSET_CAP, Poset
 
 
@@ -251,16 +261,9 @@ class Lattice:
         return True
 
     def join_irreducibles(self):
-        'Non-bottom elements never obtained as a join of two smaller ones.'
-        join, n = self._join, self.n
-        out = []
-        for j in range(n):
-            if j == self.bottom:
-                continue
-            strict = kernels.bit_indices(self.down[j] ^ 1 << j)
-            if all(join[a * n + b] != j for a in strict for b in strict):
-                out.append(j)
-        return out
+        'Elements that are no join of two smaller ones: those covering exactly one.'
+        return [j for j, covers in enumerate(kernels.lower_covers(self.down))
+                if len(covers) == 1]
 
     # ------------------------------------------------------------------
     # ideals
@@ -277,7 +280,7 @@ class Lattice:
         Every ideal of a finite lattice is principal, so the scan walks
         principal down-sets and keeps the prime ones.
         '''
-        mask = kernels.prime_element_mask(self.down)
+        mask = kernels.prime_element_mask(self.down, self.up)
         ideals = []
         rest = mask
         while rest:
@@ -289,8 +292,20 @@ class Lattice:
         return ideals
 
     def prime_ideals_via_irreducibles(self):
-        'Second route: the avoided-element ideals of the join-irreducibles.'
-        ideals = [self.ideal_avoiding(j) for j in self.join_irreducibles()]
+        '''Second route: the avoided-element ideals of the join-irreducibles.
+
+        The elements not above j form an ideal exactly when j is
+        join-prime, as every join-irreducible of a distributive lattice
+        is; PreconditionError names the first join-irreducible that is not.
+        '''
+        ideals = []
+        for j in self.join_irreducibles():
+            if self.full & ~self.up[j] not in self.down:
+                raise PreconditionError(
+                    'join-irreducible %d is not join-prime; the prime ideals via '
+                    'join-irreducibles need every join-irreducible join-prime, '
+                    'as in a distributive lattice' % j)
+            ideals.append(self.ideal_avoiding(j))
         ideals.sort(key=lambda ideal: ideal.mask)
         return ideals
 
@@ -304,11 +319,10 @@ class Lattice:
         'Pair of distinct minimal primes with no join reaching top, or None.'
         join, n = self._join, self.n
         minimal = self.minimal_prime_ideals()
-        for i in range(len(minimal)):
-            for j in range(i + 1, len(minimal)):
-                first, second = minimal[i], minimal[j]
-                if not any(join[a * n + b] == self.top
-                           for a in first.members for b in second.members):
+        for i, first in enumerate(minimal):
+            for second in minimal[i + 1:]:
+                # every join of their members lies below the join of their tops
+                if join[first.top * n + second.top] != self.top:
                     return first, second
         return None
 
@@ -318,7 +332,7 @@ class Lattice:
 
 
 class LatticeIdeal:
-    'Nonempty, down-closed, join-closed subset of a lattice.'
+    'Nonempty, down-closed, join-closed subset of a lattice: the down row of its top.'
 
     def __init__(self, lattice, members):
         mask = lattice.order_poset().mask_of(members)
@@ -326,15 +340,13 @@ class LatticeIdeal:
             raise InputError('an ideal cannot be empty')
         if lattice.order_poset().down_closure_mask(mask) != mask:
             raise InputError('ideal members must be down-closed')
-        idx = kernels.bit_indices(mask)
-        join, n = lattice._join, lattice.n
-        for a in idx:
-            for b in idx:
-                if not mask >> join[a * n + b] & 1:
-                    raise InputError('ideal members must be closed under join')
+        try:
+            self.top = lattice.down.index(mask)
+        except ValueError:
+            raise InputError('ideal members must be closed under join') from None
         self.lattice = lattice
         self.mask = mask
-        self.members = frozenset(idx)
+        self.members = frozenset(kernels.bit_indices(mask))
 
     def __contains__(self, a):
         return isinstance(a, int) and 0 <= a < self.lattice.n and self.mask >> a & 1
@@ -359,14 +371,5 @@ class LatticeIdeal:
         return self.mask != self.lattice.full
 
     def is_prime(self):
-        'Proper, and a meet lands inside only if a factor was inside.'
-        if not self.is_proper():
-            return False
-        lat = self.lattice
-        meet, n = lat._meet, lat.n
-        outside = kernels.bit_indices(lat.full & ~self.mask)
-        for a in outside:
-            for b in outside:
-                if self.mask >> meet[a * n + b] & 1:
-                    return False
-        return True
+        'Proper, and the elements outside form a filter: the up row of some element.'
+        return self.is_proper() and self.lattice.full & ~self.mask in self.lattice.up

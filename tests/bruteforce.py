@@ -188,6 +188,41 @@ def prime_ideals_by_filter(lattice):
     return out
 
 
+def join_irreducibles_by_scan(lattice):
+    'Non-bottom elements that no join of two smaller ones reaches, by join-table scan.'
+    joins = join_table(lattice)
+    out = []
+    for j in range(lattice.n):
+        if j == lattice.bottom:
+            continue
+        strict = [a for a in range(lattice.n) if a != j and lattice.leq(a, j)]
+        if all(joins[a][b] != j for a in strict for b in strict):
+            out.append(j)
+    return out
+
+
+def is_join_prime_by_scan(lattice, j):
+    'Whether j is no bottom and j <= a v b forces j <= a or j <= b.'
+    joins = join_table(lattice)
+    r = range(lattice.n)
+    return j != lattice.bottom and all(
+        lattice.leq(j, a) or lattice.leq(j, b)
+        for a in r for b in r if lattice.leq(j, joins[a][b]))
+
+
+def non_coprime_pair_by_scan(lattice):
+    '''First pair of distinct minimal prime ideals, as masks ascending,
+    holding no two members that join to the top; None when every pair does.'''
+    joins = join_table(lattice)
+    primes = prime_ideals_by_filter(lattice)
+    minimal = [p for p in primes if not any(q != p and q & ~p == 0 for q in primes)]
+    for i, p in enumerate(minimal):
+        for q in minimal[i + 1:]:
+            if not any(joins[a][b] == lattice.top for a in members(p) for b in members(q)):
+                return p, q
+    return None
+
+
 def pseudocomplement_by_scan(lattice, a):
     'Greatest element meeting a at bottom, by scanning all elements.'
     meets = meet_table(lattice)

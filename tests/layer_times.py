@@ -16,6 +16,14 @@ lru_cache carries over from one run to the next:
   built before the clock starts, one kernel call each;
 - closed_subspaces_pc: the heyting reading on every input, with cold
   report caches;
+- prime_ideals+via_irreducibles: both prime-ideal routes on every
+  lattice built before the clock starts;
+- minimal_primes_coprime: the classical Stone criterion on every
+  lattice built before the clock starts;
+- stone_roundtrip: the lattice round trip on every lattice built before
+  the clock starts, which builds each spectrum's down-set lattice;
+- poset_roundtrip: the poset round trip on every input, down-set
+  lattice build included;
 - sweep (only with --sweep): reports.sweep(--points), the end-to-end run.
 
 The last line of stdout is one JSON object: per layer, the CPU seconds
@@ -34,7 +42,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / 'src'
 LAYERS = ('downset_lattice', 'downset_lattice+join', 'pseudocomplement_vector',
-          'closed_subspaces_pc')
+          'closed_subspaces_pc', 'prime_ideals+via_irreducibles',
+          'minimal_primes_coprime', 'stone_roundtrip', 'poset_roundtrip')
+
 
 
 def _inputs(points):
@@ -56,17 +66,30 @@ def _child(layer, points):
         start = time.process_time()
         reports.sweep(points)
         return time.process_time() - start, None
+    # what the layers that read lattices built before the clock do with each
+    on_lattices = {
+        'pseudocomplement_vector': lambda lat: lat.is_pseudocomplemented(),
+        'prime_ideals+via_irreducibles':
+            lambda lat: (lat.prime_ideals(), lat.prime_ideals_via_irreducibles()),
+        'minimal_primes_coprime': lambda lat: lat.minimal_primes_coprime(),
+        'stone_roundtrip': duality.stone_roundtrip,
+    }
     posets = _inputs(points)
     masks = [poset.downset_masks_all for poset in posets]
-    if layer == 'pseudocomplement_vector':
+    if layer in on_lattices:
+        run = on_lattices[layer]
         lattices = [duality.inclusion_lattice(m) for m in masks]
         start = time.process_time()
         for lat in lattices:
-            lat.is_pseudocomplemented()
+            run(lat)
     elif layer == 'closed_subspaces_pc':
         start = time.process_time()
         for poset in posets:
             reports.closed_subspaces_pc(poset, None)
+    elif layer == 'poset_roundtrip':
+        start = time.process_time()
+        for poset in posets:
+            duality.poset_roundtrip(poset)
     else:
         start = time.process_time()
         lattices = [duality.inclusion_lattice(m) for m in masks]

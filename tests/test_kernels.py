@@ -126,7 +126,7 @@ def test_lattice_helper_values_on_diamond():
     down = [0b0001, 0b0011, 0b0101, 0b1111]
     up = [0b1111, 0b1010, 0b1100, 0b1000]
     assert kernels.pseudocomplement_vector(down, up, 0) == [3, 2, 1, 0]
-    assert kernels.prime_element_mask(down) == 0b0110
+    assert kernels.prime_element_mask(down, up) == 0b0110
     meet, join = kernels.meet_table(down)[0], kernels.meet_table(up)[0]
     # flat n*n table, entry a*n + b holding a -> b: (not a) | b on two atoms
     table = kernels.implication_index(meet, down)
@@ -191,8 +191,9 @@ def test_lattice_helpers_on_any_numbering():
     meet, join = kernels.meet_table(down)[0], kernels.meet_table(up)[0]
     assert kernels.distributive_witness(meet, join, n) is None
     assert kernels.heyting_witness(meet, down) is None
-    assert kernels.prime_element_mask(down) == sum(
-        1 << perm[i] for i in range(n) if kernels.prime_element_mask(base_down) >> i & 1)
+    assert kernels.prime_element_mask(down, up) == sum(
+        1 << perm[i] for i in range(n)
+        if kernels.prime_element_mask(base_down, base_up) >> i & 1)
 
 
 @settings(max_examples=10, deadline=None)
@@ -231,8 +232,9 @@ def test_renumbering_commutes_with_lattice_kernels(poset, rng):
     assert kernels.pseudocomplement_vector(down, up, perm[lat.bottom]) == want_pc
     assert (kernels.implication_index(meet, down).tolist()
             == mapped(kernels.implication_index(base_meet, lat.down)))
-    assert kernels.prime_element_mask(down) == sum(
-        1 << perm[x] for x in kernels.bit_indices(kernels.prime_element_mask(lat.down)))
+    assert kernels.prime_element_mask(down, up) == sum(
+        1 << perm[x]
+        for x in kernels.bit_indices(kernels.prime_element_mask(lat.down, lat.up)))
 
 
 def test_distributive_witness_on_byte_and_wide_tables():

@@ -4,11 +4,12 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from finspec import cli, duality, kernels
 from finspec.duality import downset_lattice, inclusion_lattice
-from finspec.errors import InputError, ResourceLimitError
+from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import bool_lattice, chain_lattice, d4, l3, m3, n5, v3
 from finspec.lattice import Lattice, LatticeIdeal
 from finspec.poset import DOWNSET_CAP, Poset
@@ -339,11 +340,10 @@ def test_heyting_witness_matches_scan_on_closure_systems():
     assert failures > 0 and renumbered_kinds == {True, False}
 
 
-def test_constructor_names_first_missing_bound():
-    # bounded orders: a fresh bottom and top around every labeled order on
-    # up to 4 points, some renumbered; many of them are not lattices
+def _bounded_orders():
+    '''Orders as (n, rel): a fresh bottom and top around every labeled order
+    on up to 4 points, each as built and renumbered; many are not lattices.'''
     rng = random.Random(5)
-    rejected = 0
     for k in range(5):
         for rows in kernels.labeled_stream(k):
             n = k + 2
@@ -351,15 +351,28 @@ def test_constructor_names_first_missing_bound():
             rel |= {(0, x) for x in range(n)} | {(x, n - 1) for x in range(n)}
             perm = list(range(n))
             rng.shuffle(perm)
-            for order in (rel, _renumbered(rel, perm)):
-                want = bf.first_missing_bound(n, order)
-                if want is None:
-                    assert Lattice(n, sorted(order)).n == n
-                    continue
-                rejected += 1
-                with pytest.raises(InputError) as exc:
-                    Lattice(n, sorted(order))
-                assert str(exc.value) == 'not a lattice: %d and %d have no %s' % want
+            yield n, rel
+            yield n, _renumbered(rel, perm)
+
+
+def _bounded_lattices():
+    'The lattices among _bounded_orders.'
+    for n, order in _bounded_orders():
+        if bf.first_missing_bound(n, order) is None:
+            yield Lattice(n, sorted(order))
+
+
+def test_constructor_names_first_missing_bound():
+    rejected = 0
+    for n, order in _bounded_orders():
+        want = bf.first_missing_bound(n, order)
+        if want is None:
+            assert Lattice(n, sorted(order)).n == n
+            continue
+        rejected += 1
+        with pytest.raises(InputError) as exc:
+            Lattice(n, sorted(order))
+        assert str(exc.value) == 'not a lattice: %d and %d have no %s' % want
     assert rejected > 0
     # 1 and 2 lack both bounds, over 3, 4 and under 5, 6: the meet is named
     crown = [(3, 1), (3, 2), (4, 1), (4, 2), (1, 5), (1, 6), (2, 5), (2, 6)]
@@ -373,24 +386,99 @@ def test_pseudocomplements_of_bounded_orders_match_scan():
     # the same bounded orders: the atom route of pseudocomplement_vector
     # against a scan, on lattices that are neither distributive nor
     # pseudocomplemented as well as on those that are
-    rng = random.Random(5)
     kinds = set()
-    for k in range(5):
-        for rows in kernels.labeled_stream(k):
-            n = k + 2
-            rel = {(i + 1, j + 1) for i, j in bf.rel_of_rows(rows)}
-            rel |= {(0, x) for x in range(n)} | {(x, n - 1) for x in range(n)}
-            perm = list(range(n))
-            rng.shuffle(perm)
-            for order in (rel, _renumbered(rel, perm)):
-                if bf.first_missing_bound(n, order) is not None:
-                    continue
-                lat = Lattice(n, sorted(order))
-                want = [bf.pseudocomplement_by_scan(lat, a) for a in range(n)]
-                got = kernels.pseudocomplement_vector(lat.down, lat.up, lat.bottom)
-                assert got == [-1 if x is None else x for x in want]
-                kinds.add((lat.is_distributive(), None not in want))
+    for lat in _bounded_lattices():
+        want = [bf.pseudocomplement_by_scan(lat, a) for a in range(lat.n)]
+        got = kernels.pseudocomplement_vector(lat.down, lat.up, lat.bottom)
+        assert got == [-1 if x is None else x for x in want]
+        kinds.add((lat.is_distributive(), None not in want))
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_ideal_layer_of_bounded_orders_matches_scans():
+    # the ideal layer reads the order rows; the oracles scan every subset and
+    # the join table, on lattices that are not distributive as well as on
+    # those that are
+    distributive = no_primes = not_join_prime = 0
+    for lat in _bounded_lattices():
+        primes = bf.prime_ideals_by_filter(lat)
+        assert [ideal.mask for ideal in lat.prime_ideals()] == primes
+        irreducibles = lat.join_irreducibles()
+        assert irreducibles == bf.join_irreducibles_by_scan(lat)
+        assert ([LatticeIdeal(lat, bf.members(row)).is_prime() for row in lat.down]
+                == [row in primes for row in lat.down])
+        want = bf.non_coprime_pair_by_scan(lat)
+        got = lat.non_coprime_witness()
+        assert (None if got is None else (got[0].mask, got[1].mask)) == want
+        assert lat.minimal_primes_coprime() == (want is None)
+        meet, join = bf.bound_tables(lat.n, bf.rel_of_rows(lat.up))
+        distributive += bf.first_distributivity_failure(meet, join) is None
+        no_primes += not primes
+        failing = [j for j in irreducibles if not bf.is_join_prime_by_scan(lat, j)]
+        if failing:
+            not_join_prime += 1
+            with pytest.raises(PreconditionError,
+                               match='^join-irreducible %d is not join-prime;' % failing[0]):
+                lat.prime_ideals_via_irreducibles()
+        else:
+            assert [ideal.mask for ideal in lat.prime_ideals_via_irreducibles()] == primes
+    assert distributive and no_primes and not_join_prime
+
+
+def test_prime_ideals_via_irreducibles_needs_join_prime_irreducibles():
+    # 1 <= 2 v 3 in M3 and 3 <= 1 v 2 in N5, so the elements not above them
+    # form no ideal; the error names the route's precondition, not the input
+    for lat, j in ((m3(), 1), (n5(), 3)):
+        with pytest.raises(PreconditionError) as exc:
+            lat.prime_ideals_via_irreducibles()
+        assert str(exc.value) == (
+            'join-irreducible %d is not join-prime; the prime ideals via '
+            'join-irreducibles need every join-irreducible join-prime, as in a '
+            'distributive lattice' % j)
+
+
+def test_spectrum_never_builds_a_join_table():
+    # prime ideals, ideal checks and join-irreducibles read the order rows
+    lat = n5()
+    assert duality.spec_poset(lat).n == 2
+    assert all(ideal.is_prime() for ideal in lat.prime_ideals())
+    assert lat.join_irreducibles() == [1, 2, 3]
+    assert '_join' not in vars(lat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_relations_build_or_raise_input_error(data):
+    # most relations drawn here are no order or no lattice; each must build
+    # or raise InputError, and on the lattices that build, a member list is
+    # accepted exactly when its set is an ideal of the subset scan
+    n = data.draw(st.integers(0, 6), label='n')
+    point = st.integers(0, n - 1) if n else st.integers(-1, 1)
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=2 * n), label='pairs')
+    if data.draw(st.booleans(), label='stray pair'):
+        pairs.append(data.draw(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))))
+    if n and data.draw(st.booleans(), label='bounds'):
+        pairs += [(0, x) for x in range(n)] + [(x, n - 1) for x in range(n)]
+    try:
+        assert Poset(n, pairs).n == n
+    except InputError:
+        pass
+    try:
+        lat = Lattice(n, pairs)
+    except InputError:
+        return
+    ideals = bf.ideals_by_filter(lat)
+    # free lists, with repeats and out-of-range entries, and the members of
+    # uniformly drawn subsets, a few of which are ideals
+    lists = st.one_of(st.lists(st.integers(-1, n), max_size=n + 2),
+                      st.integers(0, lat.full).map(bf.members))
+    for members in data.draw(st.lists(lists, min_size=4, max_size=8), label='lists'):
+        mask = sum({1 << m for m in members if 0 <= m < n})
+        if all(0 <= m < n for m in members) and mask in ideals:
+            assert LatticeIdeal(lat, members).mask == mask
+        else:
+            with pytest.raises(InputError):
+                LatticeIdeal(lat, members)
 
 
 def test_subspace_lattices_never_build_a_join_table(monkeypatch):
