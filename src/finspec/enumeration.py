@@ -16,7 +16,7 @@ labeled orders; unlabeled mode reaches 8 points (16,999 classes).
 
 from . import kernels
 from .errors import InputError, ResourceLimitError
-from .poset import Poset
+from .poset import Poset, is_int
 
 # the generators look the kernels up at call time, so a wrapper bound
 # over kernels.labeled_stream or kernels.unlabeled_reps sees every call
@@ -30,7 +30,7 @@ MAX_POINTS = {mode: cap for mode, (_, cap) in STREAMS.items()}
 
 def check_args(n, mode):
     "InputError for a bad size or mode, ResourceLimitError past the mode's cap."
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise InputError('size must be a non-negative int, got %r' % (n,))
     if mode not in STREAMS:
         raise InputError('mode must be one of %s, got %r' % (', '.join(STREAMS), mode))

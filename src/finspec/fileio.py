@@ -37,7 +37,7 @@ import re
 
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice
-from .poset import DOWNSET_CAP, Poset
+from .poset import DOWNSET_CAP, Poset, is_int
 
 _HEADER = re.compile(r'^(poset|lattice)\s+(\d+)$')
 _PAIR = re.compile(r'^(\d+)\s*<\s*(\d+)$')
@@ -110,11 +110,6 @@ def parse_text(text):
                    top=bounds.get('top'))
 
 
-def _is_int(value):
-    'A json integer; true and false are bools, which Python counts as ints.'
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(obj, key, types):
     if key not in obj:
         raise InputError('json object is missing %r' % key)
@@ -137,7 +132,7 @@ def from_json_obj(obj):
     pairs = []
     for entry in raw_pairs:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(_is_int(v) for v in entry)):
+                and all(is_int(v) for v in entry)):
             raise InputError('less_than entries must be [i, j] pairs, got %r'
                              % (entry,))
         pairs.append(tuple(entry))
@@ -149,7 +144,7 @@ def from_json_obj(obj):
     bottom = obj.get('bottom')
     top = obj.get('top')
     for key, value in (('bottom', bottom), ('top', top)):
-        if value is not None and not _is_int(value):
+        if value is not None and not is_int(value):
             raise InputError('json field %r has the wrong type' % key)
     return Lattice(size, pairs, bottom=bottom, top=top)
 

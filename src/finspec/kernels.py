@@ -18,13 +18,13 @@ every pair has a meet is a lattice, so that one table validates.  Given
 up rows it reads the join table instead, the dual's meet table, which a
 lattice builds only when something first reads a join.  The
 distributivity and Heyting checks take the tables as arguments.
-distributive_witness scans one-byte tables a row at a time inside
-bytes.translate, a few C-level calls per row; its witness is still the
-first failing (a, b, c >= b), since both sides of the law are symmetric
-in b and c.  Two-byte tables (over 256 elements) take a Python loop.
-Each scan tests n**3 triples, so it first checks them against
-DISTRIBUTIVE_WORK_BUDGET (256**3 by default: no two-byte scan runs
-unless the budget is raised) and raises ResourceLimitError past it.
+distributive_witness reads one-byte tables only (up to 256 elements),
+a row at a time inside bytes.translate, a few C-level calls per row;
+its witness is still the first failing (a, b, c >= b), since both sides
+of the law are symmetric in b and c.  It raises ResourceLimitError on a
+two-byte table.  The scan tests n**3 triples; Lattice checks them
+against DISTRIBUTIVE_WORK_BUDGET (256**3, the one-byte ceiling) once,
+before it builds the join table.
 
 One candidate-set pass, _candidate_tops, reads the meet table and the
 order, never the join table, for every a -> b (greatest x, a ^ x <= b).
@@ -426,19 +426,13 @@ def meet_table(down):
     return meet, None
 
 
-# Most triples one distributive_witness call may test: n**3 for n
-# elements.  Every lattice of up to 256 elements, so every one-byte table
-# and every down-set lattice of a sweep up to 8 points, stays inside it.
-# A sweep that has timed larger scans may raise it.
+# Most triples one distributivity scan may test: n**3 for n elements.
+# Lattice._distributive_witness checks it once, before it builds the join
+# table.  256**3 is the ceiling of the one-byte tables the scan reads, and
+# every down-set lattice of a sweep up to 8 points stays inside it.  The
+# budget may be lowered, but not raised: past 256 elements the scan itself
+# refuses the two-byte tables.
 DISTRIBUTIVE_WORK_BUDGET = 256 ** 3
-
-
-def distributive_work_check(n):
-    'Raise ResourceLimitError when a distributivity scan of n elements is past budget.'
-    if n ** 3 > DISTRIBUTIVE_WORK_BUDGET:
-        raise ResourceLimitError(
-            'distributivity scan of %d elements tests %d triples, past '
-            'DISTRIBUTIVE_WORK_BUDGET (%d)' % (n, n ** 3, DISTRIBUTIVE_WORK_BUDGET))
 
 
 def distributive_witness(meet, join, n):
@@ -447,7 +441,8 @@ def distributive_witness(meet, join, n):
     Tests a ^ (b v c) == (a ^ b) v (a ^ c) for every triple, in the
     order a, then b, then c from b up; None when every triple holds.
 
-    Byte tables ('B', n <= 256) are scanned a row at a time inside
+    The tables must be one-byte ('B', n <= 256); any other raises
+    ResourceLimitError.  They are scanned a row at a time inside
     bytes.translate.  For a fixed a, translating the whole join table
     through meet row a gives a ^ (b v c) at b*n + c, and translating meet
     row a through join row a ^ b, for each b, gives (a ^ b) v (a ^ c) at
@@ -455,35 +450,21 @@ def distributive_witness(meet, join, n):
     padded with zeros.  Both sides are symmetric in b and c, so the first
     row-major mismatch (b, c) has c >= b: a mismatch with c < b would
     repeat at (c, b), earlier.  That is the triple the loop order above
-    finds first.  translate cannot map values above 255, so 'H' tables
-    take a Python loop over the same triples.  Past
-    DISTRIBUTIVE_WORK_BUDGET it raises ResourceLimitError before any scan.
+    finds first.
     '''
-    distributive_work_check(n)
-    if meet.typecode == 'B':
-        pad = bytes(256 - n)
-        meets, joins = meet.tobytes(), join.tobytes()
-        join_rows = [joins[x * n:x * n + n] + pad for x in range(n)]
-        for a in range(n):
-            meet_a = meets[a * n:a * n + n]
-            left = joins.translate(meet_a + pad)
-            right = b''.join([meet_a.translate(join_rows[m]) for m in meet_a])
-            if left != right:
-                i = next(i for i in range(n * n) if left[i] != right[i])
-                return (a, *divmod(i, n))
-        return None
-    # list rows index faster than array rows in the cubic loop below
-    joins = [join[x * n:x * n + n].tolist() for x in range(n)]
+    if meet.typecode != 'B':
+        raise ResourceLimitError('distributivity scan reads one-byte tables, '
+                                 'at most 256 elements; got %d' % n)
+    pad = bytes(256 - n)
+    meets, joins = meet.tobytes(), join.tobytes()
+    join_rows = [joins[x * n:x * n + n] + pad for x in range(n)]
     for a in range(n):
-        meet_a = meet[a * n:a * n + n].tolist()
-        for b in range(n):
-            left = [meet_a[x] for x in joins[b][b:]]
-            join_ab = joins[meet_a[b]]
-            right = [join_ab[y] for y in meet_a[b:]]
-            if left != right:
-                for c in range(len(left)):
-                    if left[c] != right[c]:
-                        return a, b, b + c
+        meet_a = meets[a * n:a * n + n]
+        left = joins.translate(meet_a + pad)
+        right = b''.join([meet_a.translate(join_rows[m]) for m in meet_a])
+        if left != right:
+            i = next(i for i in range(n * n) if left[i] != right[i])
+            return (a, *divmod(i, n))
     return None
 
 

@@ -7,10 +7,13 @@ join table is not needed for that.  It is built on first read, as the
 meet table of the dual order; only when validation fails is it built at
 once, to name the first pair that lacks either bound.  Those two tables
 are the single source of truth for meet and join: meet, join and the
-distributivity, Stone and Heyting checks read them.  The implications
-come from the candidate-set pass over the meet table that the Heyting
-check runs: the whole a -> b table is built in one pass the first time
-implication is asked for, and never on the verdict path.  The
+distributivity, Stone and Heyting checks read them.  The distributivity
+check weighs its n**3 triples against kernels.DISTRIBUTIVE_WORK_BUDGET
+once, before it builds the join table, so a lattice past 256 elements is
+refused before any scan.  The implications come from the candidate-set
+pass over the meet table that the Heyting check runs: the whole a -> b
+table is built in one pass the first time implication is asked for, and
+never on the verdict path.  The
 pseudocomplements and is_boolean read the order masks (down and up rows)
 instead, by their definitions in terms of the order.
 
@@ -22,7 +25,10 @@ join-irreducible exactly when it covers one other, so join_irreducibles
 reads the lower covers.  Two ideals with greatest elements p and q hold
 a pair joining to the top exactly when p v q is the top, so the
 coprimality check reads one join per pair of minimal primes and nothing
-else in the ideal layer builds the join table.
+else in the ideal layer builds the join table.  The second prime route
+takes the elements not above each join-irreducible j; they form an ideal
+exactly when j is join-prime, and PreconditionError names the first j
+that is not.
 A lattice has at most DOWNSET_CAP elements.  Absent values (a
 pseudocomplement or implication that does not exist) come back as None,
 never as an error.
@@ -32,7 +38,7 @@ from functools import cached_property
 
 from . import kernels
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .poset import DOWNSET_CAP, Poset
+from .poset import DOWNSET_CAP, Poset, is_int
 
 
 class SetLabels:
@@ -68,7 +74,7 @@ class Lattice:
     'Immutable finite bounded lattice on elements 0..n-1.'
 
     def __init__(self, n, relation=(), bottom=None, top=None, labels=None):
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise InputError('a bounded lattice needs at least one element')
         _check_size(n)  # before the order's closure, which is quadratic in n
         order = Poset(n, relation)
@@ -147,7 +153,7 @@ class Lattice:
         return 'Lattice(%d, %r)' % (self.n, self.order_poset().covers())
 
     def _index(self, a):
-        if not (isinstance(a, int) and 0 <= a < self.n):
+        if not (is_int(a) and 0 <= a < self.n):
             raise InputError('element %r out of range for %d elements' % (a, self.n))
 
     def label(self, a):
@@ -188,8 +194,14 @@ class Lattice:
 
     @cached_property
     def _distributive_witness(self):
-        kernels.distributive_work_check(self.n)  # before the join table is built
-        return kernels.distributive_witness(self._meet, self._join, self.n)
+        # the scan tests n**3 triples; past the budget, refuse before the
+        # join table is built
+        n, budget = self.n, kernels.DISTRIBUTIVE_WORK_BUDGET
+        if n ** 3 > budget:
+            raise ResourceLimitError(
+                'distributivity scan of %d elements tests %d triples, past '
+                'DISTRIBUTIVE_WORK_BUDGET (%d)' % (n, n ** 3, budget))
+        return kernels.distributive_witness(self._meet, self._join, n)
 
     def is_distributive(self):
         return self._distributive_witness is None
@@ -268,12 +280,6 @@ class Lattice:
     # ------------------------------------------------------------------
     # ideals
 
-    def ideal_avoiding(self, j):
-        'The elements not above j, as an ideal; valid whenever j is join-prime.'
-        self._index(j)
-        members = self.full & ~self.up[j]
-        return LatticeIdeal(self, self.order_poset().set_of(members))
-
     def prime_ideals(self):
         '''Proper prime ideals, ascending by member mask.
 
@@ -300,12 +306,13 @@ class Lattice:
         '''
         ideals = []
         for j in self.join_irreducibles():
-            if self.full & ~self.up[j] not in self.down:
+            avoided = self.full & ~self.up[j]
+            if avoided not in self.down:
                 raise PreconditionError(
                     'join-irreducible %d is not join-prime; the prime ideals via '
                     'join-irreducibles need every join-irreducible join-prime, '
                     'as in a distributive lattice' % j)
-            ideals.append(self.ideal_avoiding(j))
+            ideals.append(LatticeIdeal(self, self.order_poset().set_of(avoided)))
         ideals.sort(key=lambda ideal: ideal.mask)
         return ideals
 

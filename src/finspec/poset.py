@@ -24,11 +24,16 @@ from .errors import InputError, PreconditionError
 DOWNSET_CAP = 4096
 
 
+def is_int(value):
+    'An int but not a bool: Python counts True and False as the ints 1 and 0.'
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Poset:
     'Immutable finite poset; accepts covering pairs or any relation pairs.'
 
     def __init__(self, n, relation=()):
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise InputError('poset size must be a non-negative int, got %r' % (n,))
         rows = [1 << i for i in range(n)]
         for pair in relation:
@@ -37,7 +42,7 @@ class Poset:
             except (TypeError, ValueError):
                 raise InputError('relation entries must be index pairs, got %r'
                                  % (pair,)) from None
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (is_int(i) and is_int(j)):
                 raise InputError('relation entries must be index pairs, got %r' % (pair,))
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError('pair (%d, %d) out of range for %d points' % (i, j, n))
@@ -81,7 +86,7 @@ class Poset:
         return bool(self.up[i] >> j & 1)
 
     def _index(self, i):
-        if not (isinstance(i, int) and 0 <= i < self.n):
+        if not (is_int(i) and 0 <= i < self.n):
             raise InputError('point %r out of range for %d points' % (i, self.n))
 
     def mask_of(self, points):

@@ -37,7 +37,7 @@ from .duality import ENVELOPE_MAX_POINTS, downset_lattice, qccl_lattice
 from .enumeration import check_args, enumerate_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError)
-from .poset import MonotoneMap
+from .poset import MonotoneMap, is_int
 
 
 class Condition(namedtuple('Condition', 'label holds group witness',
@@ -135,10 +135,9 @@ def confluent(poset, lattice):
 
 
 def unique_min_below(poset, lattice):
-    if poset.is_inv_normal():
-        return True, None
-    return False, next((x for x in range(poset.n)
-                        if (poset.down[x] & poset.minimal_mask).bit_count() != 1), None)
+    witness = next((x for x in range(poset.n)
+                    if (poset.down[x] & poset.minimal_mask).bit_count() != 1), None)
+    return witness is None, witness
 
 
 def min_map_spectral(poset, lattice):
@@ -521,7 +520,7 @@ def sweep(max_points, mode='unlabeled', jobs=1):
     poset in canonical order that falsifies it.  Output is deterministic
     and identical for any worker count, which is capped at MAX_JOBS.
     '''
-    if not isinstance(jobs, int) or jobs < 1:
+    if not is_int(jobs) or jobs < 1:
         raise InputError('jobs must be a positive int')
     if jobs > MAX_JOBS:
         raise ResourceLimitError('jobs capped at %d (MAX_JOBS), got %d' % (MAX_JOBS, jobs))

@@ -14,6 +14,8 @@ lru_cache carries over from one run to the next:
   lattice, which is what classify costs on top of a build;
 - pseudocomplement_vector: is_pseudocomplemented on every lattice
   built before the clock starts, one kernel call each;
+- distributive_witness: is_distributive on every lattice built before
+  the clock starts, which builds each join table and runs the byte scan;
 - closed_subspaces_pc: the heyting reading on every input, with cold
   report caches;
 - prime_ideals+via_irreducibles: both prime-ideal routes on every
@@ -42,7 +44,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / 'src'
 LAYERS = ('downset_lattice', 'downset_lattice+join', 'pseudocomplement_vector',
-          'closed_subspaces_pc', 'prime_ideals+via_irreducibles',
+          'distributive_witness', 'closed_subspaces_pc', 'prime_ideals+via_irreducibles',
           'minimal_primes_coprime', 'stone_roundtrip', 'poset_roundtrip')
 
 
@@ -69,6 +71,7 @@ def _child(layer, points):
     # what the layers that read lattices built before the clock do with each
     on_lattices = {
         'pseudocomplement_vector': lambda lat: lat.is_pseudocomplemented(),
+        'distributive_witness': lambda lat: lat.is_distributive(),
         'prime_ideals+via_irreducibles':
             lambda lat: (lat.prime_ideals(), lat.prime_ideals_via_irreducibles()),
         'minimal_primes_coprime': lambda lat: lat.minimal_primes_coprime(),

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from finspec import kernels
+from finspec.enumeration import check_args
 from finspec.errors import InputError, PreconditionError
-from finspec.fixtures import a2, antichain, chain_poset, c2, d4, l3, v3
+from finspec.fixtures import a2, antichain, chain_poset, c2, d4, l3, m3, v3
+from finspec.lattice import Lattice, LatticeIdeal
 from finspec.poset import MonotoneMap, Poset, are_isomorphic
+from finspec.reports import sweep
 
 
 def test_constructor_rejects_bad_input():
@@ -27,6 +30,26 @@ def test_constructor_rejects_bad_input():
         Poset(3, [(0, 3)])
     with pytest.raises(InputError):
         Poset(2, [(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize('call', [
+    pytest.param(lambda: Poset(True), id='Poset(True)'),
+    pytest.param(lambda: Poset(False), id='Poset(False)'),
+    pytest.param(lambda: Poset(2, [(0, True)]), id='Poset(2, [(0, True)])'),
+    pytest.param(lambda: Poset(2).leq(True, 0), id='Poset(2).leq(True, 0)'),
+    pytest.param(lambda: Poset(2).up_closure([True]), id='Poset(2).up_closure([True])'),
+    pytest.param(lambda: Lattice(True), id='Lattice(True)'),
+    pytest.param(lambda: m3().label(True), id='m3().label(True)'),
+    pytest.param(lambda: m3().meet(0, True), id='m3().meet(0, True)'),
+    pytest.param(lambda: LatticeIdeal(m3(), [False]), id='LatticeIdeal(m3(), [False])'),
+    pytest.param(lambda: check_args(True, 'unlabeled'), id='check_args(True, unlabeled)'),
+    pytest.param(lambda: sweep(True), id='sweep(True)'),
+    pytest.param(lambda: sweep(1, jobs=True), id='sweep(1, jobs=True)'),
+])
+def test_bools_are_neither_sizes_nor_indices(call):
+    # Python counts True and False as the ints 1 and 0
+    with pytest.raises(InputError):
+        call()
 
 
 def test_constructor_closes_relation():

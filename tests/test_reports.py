@@ -40,6 +40,26 @@ def test_stone_report_on_v3_all_false():
     assert rep.witness == frozenset({0})
 
 
+def test_unique_min_below_reads_its_own_scan(monkeypatch):
+    # the reading's verdict comes from its witness scan, not from
+    # is_inv_normal, which min_map_spectral and min_retraction also reach
+    want = []
+    for poset in each_poset(5):
+        pts = range(poset.n)
+        minimal = [m for m in pts if not any(poset.leq(y, m) for y in pts if y != m)]
+        witness = next((x for x in pts
+                        if sum(poset.leq(m, x) for m in minimal) != 1), None)
+        assert poset.is_inv_normal() == (witness is None)
+        want.append((poset, (witness is None, witness)))
+    assert {verdict for _, (verdict, _) in want} == {True, False}
+
+    def refuse(self):
+        raise AssertionError('unique_min_below called is_inv_normal')
+    monkeypatch.setattr(Poset, 'is_inv_normal', refuse)
+    for poset, got in want:
+        assert reports.unique_min_below(poset, None) == got
+
+
 def test_each_condition_carries_its_own_witness():
     rep = stone_report(v3())
     assert {c.label: c.witness for c in rep.conditions} == {
