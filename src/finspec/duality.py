@@ -8,7 +8,11 @@ the canonical comparison map fails to be an isomorphism.
 
 The up-set lattice (the closed constructible sets) is the down-set
 lattice of the order dual, so both come from the one cached builder and
-read their member masks from Poset, which also holds DOWNSET_CAP.
+read their member masks from Poset, which also holds DOWNSET_CAP.  That
+cache drops its least recently used lattices once the lattices it holds
+pass LATTICE_CACHE_ELEMENTS elements in all: a lattice's tables grow
+with the square of its elements, so a count of entries would not bound
+its memory.
 
 Numbering is deterministic everywhere: down-sets, up-sets and prime
 ideals are sorted ascending by member mask, which is also a linear
@@ -16,13 +20,16 @@ extension of inclusion.
 '''
 
 from collections import namedtuple
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice, SetLabels
 from .poset import DOWNSET_CAP, Poset
 
 ENVELOPE_MAX_POINTS = 12
+# the down-set lattice cache holds at most this many elements, summed
+# over its lattices: 16 lattices of DOWNSET_CAP elements
+LATTICE_CACHE_ELEMENTS = 16 * DOWNSET_CAP
 
 
 def inclusion_lattice(masks):
@@ -53,9 +60,41 @@ def inclusion_lattice(masks):
     return Lattice._from_rows(up, down, SetLabels(masks))
 
 
-@lru_cache(maxsize=8192)
-def _downset_lattice_cached(poset):
-    return inclusion_lattice(poset.downset_masks_all)
+class _LatticeCache:
+    '''Down-set lattices by poset, least recently used first out.
+
+    The lattices held never pass LATTICE_CACHE_ELEMENTS elements in all,
+    read at each miss; one larger than that is evicted as it comes in.
+    cache_info and cache_clear stand in for an lru_cache's.
+    '''
+
+    def __init__(self):
+        self.cache_clear()
+
+    def __call__(self, poset):
+        held = self._held
+        lattice = held.pop(poset, None)
+        if lattice is not None:
+            self.hits += 1
+            held[poset] = lattice  # the dict keeps insertion order: now the newest
+            return lattice
+        self.misses += 1
+        lattice = held[poset] = inclusion_lattice(poset.downset_masks_all)
+        self.elements += lattice.n
+        while self.elements > LATTICE_CACHE_ELEMENTS:
+            self.elements -= held.pop(next(iter(held))).n
+        return lattice
+
+    def cache_info(self):
+        'Hits, misses and the elements held now.'
+        return SimpleNamespace(hits=self.hits, misses=self.misses, elements=self.elements)
+
+    def cache_clear(self):
+        self._held = {}
+        self.hits = self.misses = self.elements = 0
+
+
+_downset_lattice_cached = _LatticeCache()
 
 
 def downset_lattice(poset):

@@ -118,11 +118,11 @@ class Lattice:
             raise InputError('not a lattice: no bottom element')
         if found_top is None:
             raise InputError('not a lattice: no top element')
-        if bottom is not None and bottom != found_bottom:
-            raise InputError('declared bottom %d but the least element is %d'
+        if bottom is not None and not (is_int(bottom) and bottom == found_bottom):
+            raise InputError('declared bottom %r but the least element is %d'
                              % (bottom, found_bottom))
-        if top is not None and top != found_top:
-            raise InputError('declared top %d but the greatest element is %d'
+        if top is not None and not (is_int(top) and top == found_top):
+            raise InputError('declared top %r but the greatest element is %d'
                              % (top, found_top))
         self.bottom = found_bottom
         self.top = found_top
@@ -356,7 +356,7 @@ class LatticeIdeal:
         self.members = frozenset(kernels.bit_indices(mask))
 
     def __contains__(self, a):
-        return isinstance(a, int) and 0 <= a < self.lattice.n and self.mask >> a & 1
+        return is_int(a) and 0 <= a < self.lattice.n and self.mask >> a & 1
 
     def __iter__(self):
         return iter(sorted(self.members))

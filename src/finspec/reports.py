@@ -10,7 +10,11 @@ cached report.  The agreement flag says whether the readings applicable
 under the hypotheses came out equal, which the sweep checks by brute
 force.
 
-A sweep keeps every report in the caches, yet most of them name no
+A sweep asks for each report of a poset once, from _survey.  Only the
+pc-space and heyting reports are asked for again, by the readings that
+quote them (_quotes, and closed_subspaces_pc on every closed subspace),
+so only those two caches keep every poset; the other four keep the last
+128, lru_cache's default.  The reports kept still mostly name no
 witness and repeat a handful of values.  So once an entry's hypotheses
 and readings have all run, _evaluate swaps each witness-free Condition,
 the hypotheses and a witness-free report for one shared equal copy
@@ -344,7 +348,9 @@ def _evaluate(poset, theorem):
 
 
 # ----------------------------------------------------------------------
-# cached reports, one per theorem
+# cached reports, one per theorem.  Readings quote pc-space and heyting on
+# the poset, its dual and its closed subspaces, so those two caches keep
+# every poset; a sweep asks for each of the other four once per poset
 
 
 @lru_cache(maxsize=65536)
@@ -353,13 +359,13 @@ def pc_space_report(poset):
     return _evaluate(poset, 'pc-space')
 
 
-@lru_cache(maxsize=65536)
+@lru_cache
 def stone_report(poset):
     'The six readings of the Stone property for the open-set lattice.'
     return _evaluate(poset, 'stone')
 
 
-@lru_cache(maxsize=65536)
+@lru_cache
 def qccl_stone_report(poset):
     'Stone property of the closed-set lattice; the mirror of stone_report.'
     return _evaluate(poset, 'qccl-stone')
@@ -376,7 +382,7 @@ def heyting_report(poset):
     return _evaluate(poset, 'heyting')
 
 
-@lru_cache(maxsize=65536)
+@lru_cache
 def root_forest_report(poset):
     '''Heyting behavior of the two sides under chain-shaped fibers.
 
@@ -387,7 +393,7 @@ def root_forest_report(poset):
     return _evaluate(poset, 'root-forest')
 
 
-@lru_cache(maxsize=65536)
+@lru_cache
 def collapse_report(poset, direction):
     '''Degeneration to an antichain when the extremal layers touch.
 

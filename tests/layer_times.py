@@ -1,6 +1,7 @@
-'''CPU time of the lattice layers, each in a fresh process, as JSON.
+'''CPU time and peak RSS of the lattice layers, each in a fresh process, as JSON.
 
     python3 -S tests/layer_times.py [--points 7] [--repeat 3] [--sweep]
+                                    [--out BENCH_layers.json]
 
 Run from anywhere; finspec is imported from the src directory next to
 this file.  The inputs are every isomorphism class of up to --points
@@ -28,21 +29,28 @@ lru_cache carries over from one run to the next:
   lattice build included;
 - sweep (only with --sweep): reports.sweep(--points), the end-to-end run.
 
-The last line of stdout is one JSON object: per layer, the CPU seconds
-of each run (time.process_time of the child) and their median, plus the
-Python version and the input count.  Standard library only.
+The last line of stdout is one JSON object, also written to --out
+(BENCH_layers.json at the root of the checkout by default): per layer,
+the CPU seconds of each run (time.process_time of the child) and the
+child's peak RSS in MB (resource.getrusage, inputs included), with the
+median of each; then the Python version, the machine, its CPU count,
+the commit (git describe, "-dirty" when the tree differs from it) and
+the input count.  Standard library only.
 '''
 
 import argparse
 import json
+import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / 'src'
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / 'src'
 LAYERS = ('downset_lattice', 'downset_lattice+join', 'pseudocomplement_vector',
           'distributive_witness', 'closed_subspaces_pc', 'prime_ideals+via_irreducibles',
           'minimal_primes_coprime', 'stone_roundtrip', 'poset_roundtrip')
@@ -61,7 +69,13 @@ def _inputs(points):
 
 
 def _child(layer, points):
-    'Run one layer in this process; return (CPU seconds, input count).'
+    'Run one layer in this process; return (CPU seconds, input count, peak RSS in MB).'
+    seconds, count = _timed(layer, points)
+    return seconds, count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _timed(layer, points):
+    'CPU seconds of one layer run in this process, and its input count.'
     sys.path.insert(0, str(SRC))
     from finspec import duality, reports
     if layer == 'sweep':
@@ -102,32 +116,49 @@ def _child(layer, points):
     return time.process_time() - start, len(posets)
 
 
+def _commit():
+    "The checkout's commit as git describes it, or None outside a git checkout."
+    try:
+        done = subprocess.run(['git', 'describe', '--always', '--dirty'], cwd=str(ROOT),
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split('\n\n')[0])
     parser.add_argument('--points', type=int, default=7)
     parser.add_argument('--repeat', type=int, default=3)
     parser.add_argument('--sweep', action='store_true',
                         help='also time reports.sweep(--points)')
+    parser.add_argument('--out', default=str(ROOT / 'BENCH_layers.json'),
+                        help='where the JSON goes besides stdout')
     parser.add_argument('--child', help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(_child(args.child, args.points)))
         return 0
     layers = LAYERS + ('sweep',) * args.sweep
-    out = {'python': platform.python_version(), 'points': args.points, 'layers': {}}
+    out = {'python': platform.python_version(), 'machine': platform.machine(),
+           'cpus': os.cpu_count(), 'commit': _commit(), 'points': args.points,
+           'layers': {}}
     for layer in layers:
-        runs = []
+        runs, rss = [], []
         for _ in range(args.repeat):
             done = subprocess.run(
                 [sys.executable, '-S', __file__, '--child', layer,
                  '--points', str(args.points)],
                 capture_output=True, text=True, check=True)
-            seconds, count = json.loads(done.stdout)
+            seconds, count, rss_mb = json.loads(done.stdout)
             runs.append(round(seconds, 4))
+            rss.append(round(rss_mb, 1))
             if count is not None:
                 out['inputs'] = count
-        out['layers'][layer] = {'runs': runs, 'median_s': statistics.median(runs)}
-        print(layer, runs, file=sys.stderr)
+        out['layers'][layer] = {'runs': runs, 'median_s': statistics.median(runs),
+                                'rss_mb': rss, 'median_rss_mb': statistics.median(rss)}
+        print(layer, runs, rss, file=sys.stderr)
+    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + '\n')
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -60,3 +60,6 @@ def test_traced_sweep_counts_every_layer():
         'reports.cache.hits', 'reports.cache.misses']
     assert got['caches']['reports.cache.hits'] > 0
     assert got['caches']['reports.cache.misses'] > 0
+    # a lattice cache that stops counting would read 0 here
+    assert got['caches']['duality.downset_lattice.hits'] > 0
+    assert got['caches']['duality.downset_lattice.misses'] > 0

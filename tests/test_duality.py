@@ -93,6 +93,36 @@ def test_labeled_sweep_builds_each_lattice_once(monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def _cold_sweeps(cache):
+    'sweep(5) and sweep(4, labeled) from empty caches, and the lattice misses.'
+    for fn in (reports.pc_space_report, reports.stone_report,
+               reports.qccl_stone_report, reports.heyting_report,
+               reports.root_forest_report, reports.collapse_report, cache):
+        fn.cache_clear()
+    summaries = reports.sweep(5), reports.sweep(4, 'labeled')
+    return summaries, cache.cache_info().misses
+
+
+def test_sweeps_that_evict_lattices_agree(monkeypatch):
+    # a budget of 64 elements evicts all the way through both sweeps: the
+    # summaries stay the same, the cache never holds more and misses more
+    cache = duality._downset_lattice_cached
+    summaries, misses = _cold_sweeps(cache)
+    held = []
+
+    def watched(poset):
+        lattice = cache(poset)
+        held.append(cache.cache_info().elements)
+        return lattice
+
+    monkeypatch.setattr(duality, 'LATTICE_CACHE_ELEMENTS', 64)
+    monkeypatch.setattr(duality, '_downset_lattice_cached', watched)
+    small_summaries, small_misses = _cold_sweeps(cache)
+    assert small_summaries == summaries
+    assert held and max(held) <= 64
+    assert small_misses > misses
+
+
 def test_upset_masks_complement_downset_masks():
     p = v3()
     assert set(p.upset_masks_all) == {p.full ^ d for d in p.downset_masks_all}

@@ -32,6 +32,12 @@ def test_constructor_rejects_bad_input():
         Poset(2, [(0, 1), (1, 0)])
 
 
+def _require_member(ideal, a):
+    # membership answers instead of raising, so turn a refusal into the error
+    if a not in ideal:
+        raise InputError('%r is not a member of %r' % (a, ideal))
+
+
 @pytest.mark.parametrize('call', [
     pytest.param(lambda: Poset(True), id='Poset(True)'),
     pytest.param(lambda: Poset(False), id='Poset(False)'),
@@ -41,7 +47,11 @@ def test_constructor_rejects_bad_input():
     pytest.param(lambda: Lattice(True), id='Lattice(True)'),
     pytest.param(lambda: m3().label(True), id='m3().label(True)'),
     pytest.param(lambda: m3().meet(0, True), id='m3().meet(0, True)'),
+    pytest.param(lambda: Lattice(2, [(0, 1)], bottom=False, top=True),
+                 id='Lattice(2, [(0, 1)], bottom=False, top=True)'),
     pytest.param(lambda: LatticeIdeal(m3(), [False]), id='LatticeIdeal(m3(), [False])'),
+    pytest.param(lambda: _require_member(LatticeIdeal(m3(), [0, 1]), True),
+                 id='True in LatticeIdeal(m3(), [0, 1])'),
     pytest.param(lambda: check_args(True, 'unlabeled'), id='check_args(True, unlabeled)'),
     pytest.param(lambda: sweep(True), id='sweep(True)'),
     pytest.param(lambda: sweep(1, jobs=True), id='sweep(1, jobs=True)'),

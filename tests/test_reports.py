@@ -6,6 +6,7 @@ import pytest
 
 import bruteforce as bf
 from finspec import cli, kernels
+from finspec.enumeration import enumerate_posets
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import a2, antichain, c2, chain_poset, d4, l3, v3
 from finspec.poset import Poset, are_isomorphic
@@ -300,6 +301,23 @@ def _clear_report_caches():
     for fn in (pc_space_report, stone_report, qccl_stone_report, heyting_report,
                root_forest_report, collapse_report):
         fn.cache_clear()
+
+
+def test_only_quoted_reports_keep_every_poset():
+    # readings quote pc-space and heyting on posets swept before, so those
+    # two caches keep every swept poset; the other four keep the last 128
+    _clear_report_caches()
+    sweep(4, 'labeled')
+    for fn in (stone_report, qccl_stone_report, root_forest_report, collapse_report):
+        assert fn.cache_info().currsize <= 128
+    swept = [poset for n in range(5) for poset in enumerate_posets(n, 'labeled')]
+    assert len(swept) == 243
+    for fn in (pc_space_report, heyting_report):
+        before = fn.cache_info()
+        for poset in swept:
+            fn(poset)
+        assert fn.cache_info().misses == before.misses
+        assert fn.cache_info().hits == before.hits + len(swept)
 
 
 def test_flipped_reading_is_counted_as_a_disagreement(monkeypatch, capsys):
