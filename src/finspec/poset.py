@@ -358,13 +358,25 @@ class Poset:
         return self.induced_mask(self.mask_of(points))
 
     def induced_mask(self, carrier_mask):
-        carrier = kernels.bit_indices(carrier_mask)
+        carrier = tuple(kernels.bit_indices(carrier_mask))
+        return self.induced_order(carrier), carrier
+
+    def induced_order(self, order):
+        '''Subposet on the points of order, numbered as order lists them:
+        its point k is order[k].
+
+        induced and induced_mask number the carrier ascending; any other
+        order gives an isomorphic copy with other up rows.  Like the
+        _mask twins it trusts its argument: distinct points of this poset.
+        '''
         # bit of each carrier point in the subposet's numbering
         position = [0] * self.n
-        for b, j in enumerate(carrier):
+        carrier_mask = 0
+        for b, j in enumerate(order):
             position[j] = 1 << b
+            carrier_mask |= 1 << j
         rows = []
-        for i in carrier:
+        for i in order:
             row = 0
             rest = self.up[i] & carrier_mask
             while rest:
@@ -372,7 +384,7 @@ class Poset:
                 row |= position[low.bit_length() - 1]
                 rest ^= low
             rows.append(row)
-        return Poset.from_up_rows(rows), tuple(carrier)
+        return Poset.from_up_rows(rows)
 
     def min_point_map(self):
         'x -> its unique minimal point, or None when some x has several.'

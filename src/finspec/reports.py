@@ -25,6 +25,14 @@ with a witness is never pooled, so the pool holds only values made of
 the registry's labels, the profile flags and booleans: it stays bounded
 by those, whatever the size of the sweep.
 
+closed_subspaces_pc builds each proper closed subspace numbered by
+degree (closed_subspaces), so isomorphic subspaces of one poset mostly
+have equal rows and meet one cached pc-space report; the whole space
+keeps the poset's numbering and meets the poset's own.  Within
+pc-space, closures_constructible and regularizations_compact_open map
+every down-set to a set and test each distinct set once, still naming
+the first failing down-set as witness.
+
 Several conditions are trivially true on a finite space (patch-closed
 sets, compactness, constructibility).  They are still computed from
 their definitions, never constant-folded, so a bug in the underlying
@@ -41,7 +49,7 @@ from .duality import ENVELOPE_MAX_POINTS, downset_lattice, qccl_lattice
 from .enumeration import check_args, enumerate_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError)
-from .poset import MonotoneMap, is_int
+from .poset import MonotoneMap, Poset, is_int
 
 
 class Condition(namedtuple('Condition', 'label holds group witness',
@@ -115,17 +123,30 @@ def normal_and_lattice_pc(poset, lattice):
     return poset.is_normal() and lattice.is_pseudocomplemented(), None
 
 
+def _down_set_images(poset, image, test):
+    '''Holds when test accepts image(d) for every down-set d; else the
+    first failing d, as a set, is the witness.
+
+    Many down-sets share an image, so test runs once per distinct image.
+    '''
+    tested = {}
+    for d in poset.downset_masks_all:
+        mask = image(d)
+        holds = tested.get(mask)
+        if holds is None:
+            holds = tested[mask] = test(mask)
+        if not holds:
+            return False, poset.set_of(d)
+    return True, None
+
+
 def closures_constructible(poset, lattice):
-    return _no_failure(poset, (
-        d for d in poset.downset_masks_all
-        if not poset.is_constructible_mask(poset.up_closure_mask(d))))
+    return _down_set_images(poset, poset.up_closure_mask, poset.is_constructible_mask)
 
 
 def regularizations_compact_open(poset, lattice):
-    def compact_open(mask):
-        return poset.is_down_set_mask(mask) and poset.is_compact_mask(mask)
-    return _no_failure(poset, (d for d in poset.downset_masks_all
-                               if not compact_open(poset.regularize_mask(d))))
+    return _down_set_images(poset, poset.regularize_mask, lambda mask: (
+        poset.is_down_set_mask(mask) and poset.is_compact_mask(mask)))
 
 
 def closures_open(poset, lattice):
@@ -163,6 +184,15 @@ def downclosures_clopen(poset, lattice):
 
 
 def constructible_closures(poset, lattice):
+    '''The up-closure of every constructible subset is constructible.
+
+    It calls kernels.subset_closures, as inverse_closure_is_patch does,
+    but on poset.up, where that reading passes poset.dual().up, that is
+    poset.down: the two share the kernel's code, never a table or a
+    verdict.  A fault in the kernel could move both readings together,
+    but not lattice_heyting or closed_subspaces_pc, which never reach it,
+    so a fault that fails both still breaks the report's agreement.
+    '''
     closures = kernels.subset_closures(poset.up)
     # the closures are up-sets, far fewer than the subsets: each is tested once
     closure_ok = {c: poset.is_constructible_mask(c) for c in set(closures)}
@@ -171,10 +201,43 @@ def constructible_closures(poset, lattice):
         if not closure_ok[c] and poset.is_constructible_mask(s)))
 
 
+def closed_subspaces(poset):
+    '''Each up-set mask, ascending, with its subspace numbered by degree.
+
+    The points of a proper subspace are numbered by (points below each in
+    the subspace, points above it, index), which is a linear extension.
+    Isomorphic subspaces of one poset then mostly get equal up rows and
+    so share one cached pc_space_report.  The whole space keeps the
+    poset's own numbering, so it meets the report a sweep has already
+    asked for on the poset.  It is still a copy: a report computed on it
+    leaves the poset untouched.
+    '''
+    down, up, full = poset.down, poset.up, poset.full
+    # one int per point sorts by the triple, each field in shift bits.  An
+    # up-set holds every point above each of its points, so the last two
+    # fields are fixed per point
+    shift = poset.n.bit_length()
+    index = (1 << shift) - 1
+    fixed = [up[i].bit_count() << shift | i for i in range(poset.n)]
+    below = 2 * shift
+    for mask in poset.upset_masks_all:
+        if mask == full:
+            yield mask, Poset.from_up_rows(up)
+            continue
+        keys = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            keys.append((down[i] & mask).bit_count() << below | fixed[i])
+            rest ^= low
+        keys.sort()
+        yield mask, poset.induced_order([key & index for key in keys])
+
+
 def closed_subspaces_pc(poset, lattice):
-    return _no_failure(poset, (
-        c for c in poset.upset_masks_all
-        if not pc_space_report(poset.induced_mask(c)[0]).all_true))
+    return _no_failure(poset, (mask for mask, subspace in closed_subspaces(poset)
+                               if not pc_space_report(subspace).all_true))
 
 
 def inverse_closure_is_patch(poset, lattice):

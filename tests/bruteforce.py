@@ -3,6 +3,11 @@
 Everything here works on sets of pairs or explicit subset scans, never
 on the bitmask kernels under test, so a shared bug cannot hide.  Sizes
 are tiny by construction; nothing here is meant to be fast.
+
+The last section is the exception: it holds the set-by-set readings of
+pc-space and heyting, which call the same Poset predicates as the
+readings in finspec.reports but share nothing between sets, so a test
+can patch a predicate and check that both loops name the same culprit.
 '''
 
 from itertools import combinations, permutations
@@ -388,4 +393,35 @@ def inverse_closure_is_patch_by_scan(rows):
         closure = _least_member_above(downsets, s)
         if closure != _least_member_above(patch_closed, closure):
             return False, frozenset(members(s))
+    return True, None
+
+
+# ----------------------------------------------------------------------
+# set-by-set readings: one closed subspace, one down-set at a time, no memo
+
+
+def closed_subspaces_pc_one_by_one(poset):
+    '''(holds, witness) of closed_subspaces_pc: pc_space_report quoted on
+    each closed subspace as induced_mask numbers it, ascending.'''
+    from finspec import reports
+    for c in poset.upset_masks_all:
+        if not reports.pc_space_report(poset.induced_mask(c)[0]).all_true:
+            return False, poset.set_of(c)
+    return True, None
+
+
+def closures_constructible_one_by_one(poset):
+    'The up-closure of each down-set, tested for constructibility one at a time.'
+    for d in poset.downset_masks_all:
+        if not poset.is_constructible_mask(poset.up_closure_mask(d)):
+            return False, poset.set_of(d)
+    return True, None
+
+
+def regularizations_compact_open_one_by_one(poset):
+    'The regularization of each down-set, tested for compact openness one at a time.'
+    for d in poset.downset_masks_all:
+        r = poset.regularize_mask(d)
+        if not (poset.is_down_set_mask(r) and poset.is_compact_mask(r)):
+            return False, poset.set_of(d)
     return True, None

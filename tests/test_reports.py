@@ -135,6 +135,102 @@ def test_heyting_report_keeps_no_subset_tables():
             assert not isinstance(value, (tuple, list)) or len(value) < 1 << p.n
 
 
+SUBSPACE_READINGS = (
+    (reports.closed_subspaces_pc, bf.closed_subspaces_pc_one_by_one),
+    (reports.closures_constructible, bf.closures_constructible_one_by_one),
+    (reports.regularizations_compact_open, bf.regularizations_compact_open_one_by_one),
+)
+
+
+def _subspace_inputs(classes, labeled):
+    'Every class up to classes points with its dual, then every labeled poset.'
+    for p in each_poset(classes):
+        yield p
+        yield p.dual()
+    for n in range(labeled + 1):
+        yield from enumerate_posets(n, 'labeled')
+
+
+def test_subspace_readings_match_one_set_at_a_time():
+    for p in _subspace_inputs(6, 4):
+        for reading, reference in SUBSPACE_READINGS:
+            assert reading(p, None) == reference(p) == (True, None)
+
+
+def test_subspace_readings_name_the_first_failing_set(monkeypatch):
+    # every reading holds on a finite poset, so the predicates are made to
+    # fail on some sets: the shared tests must still name the same culprit
+    class Verdict:
+        def __init__(self, all_true):
+            self.all_true = all_true
+
+    # isomorphism-invariant, so the subspaces' numbering cannot matter
+    monkeypatch.setattr(reports, 'pc_space_report', lambda q: Verdict(
+        q.n < 2 or q.maximal_mask.bit_count() != 1))
+    monkeypatch.setattr(Poset, 'is_constructible_mask', lambda self, mask: mask % 3 != 1)
+    monkeypatch.setattr(Poset, 'is_compact_mask', lambda self, mask: mask % 5 != 3)
+    seen = [set() for _ in SUBSPACE_READINGS]
+    for p in _subspace_inputs(5, 4):
+        for (reading, reference), got in zip(SUBSPACE_READINGS, seen):
+            want = reference(p)
+            assert reading(p, None) == want
+            got.add(want)
+    # each reading holds on some inputs and names several culprits on others
+    assert all(len(got) > 5 and (True, None) in got for got in seen)
+
+
+def test_closed_subspaces_are_renumbered_in_a_linear_extension():
+    for p in each_poset(5):
+        masks = []
+        for c, sub in reports.closed_subspaces(p):
+            masks.append(c)
+            assert are_isomorphic(sub, p.induced_mask(c)[0])
+            if c == p.full:
+                # the whole space keeps the poset's numbering, on a copy
+                assert sub == p and sub is not p
+            else:
+                assert all(row & ((1 << k) - 1) == 0 for k, row in enumerate(sub.up))
+        assert masks == list(p.upset_masks_all)
+
+
+def test_isomorphic_closed_subspaces_share_one_pc_space_report():
+    # three disjoint 2-chains: each up-set takes nothing, the top or the
+    # whole of each chain, so its 27 closed subspaces fall in 10 classes
+    p = Poset(6, [(0, 1), (2, 3), (4, 5)])
+    classes = {p.induced_mask(c)[0].canonical_rows for c in p.upset_masks_all}
+    assert (len(p.upset_masks_all), len(classes)) == (27, 10)
+    pc_space_report.cache_clear()
+    heyting_report.cache_clear()
+    assert heyting_report(p).all_true
+    assert pc_space_report.cache_info().misses == 10
+
+
+def test_subspace_readings_test_each_distinct_set_once(monkeypatch):
+    # every down-set is regularized, but a closure or regularization that
+    # several down-sets share is tested once
+    calls = {name: [] for name in ('is_constructible_mask', 'regularize_mask',
+                                   'is_compact_mask')}
+    for name, log in calls.items():
+        def logged(self, mask, _log=log, _test=getattr(Poset, name)):
+            _log.append(mask)
+            return _test(self, mask)
+        monkeypatch.setattr(Poset, name, logged)
+    shared = 0
+    for p in each_poset(5):
+        downsets = p.downset_masks_all
+        closures = {p.up_closure_mask(d) for d in downsets}
+        regular = {p.regularize_mask(d) for d in downsets}
+        for log in calls.values():
+            log.clear()
+        assert reports.closures_constructible(p, None) == (True, None)
+        assert reports.regularizations_compact_open(p, None) == (True, None)
+        assert sorted(calls['is_constructible_mask']) == sorted(closures)
+        assert calls['regularize_mask'] == list(downsets)
+        assert sorted(calls['is_compact_mask']) == sorted(regular)
+        shared += len(closures) < len(downsets) and len(regular) < len(downsets)
+    assert shared > 0
+
+
 def test_collapse_gating_on_v3():
     '''A failed hypothesis leaves verdicts mixed but agreement vacuous.'''
     rep = collapse_report(v3(), 'min_side')
