@@ -71,34 +71,24 @@ def _plain(value):
 
 
 def _run_check(structure, args):
-    source, as_json = args['input'], args['json']
     if isinstance(structure, Lattice):
-        flags = [('distributive', structure.is_distributive()),
-                 ('pseudocomplemented', structure.is_pseudocomplemented()),
-                 ('stone', structure.is_stone()),
-                 ('heyting', structure.is_heyting()),
-                 ('boolean', structure.is_boolean())]
-        if as_json:
-            return 0, json.dumps({'schema': SCHEMA, 'command': 'check',
-                                  'input': source, 'kind': 'lattice',
-                                  'size': structure.n,
-                                  'profile': dict(flags)},
-                                 sort_keys=True) + '\n'
-        lines = ['lattice with %d elements' % structure.n]
-        lines += ['  %-20s %s' % (name, str(holds).lower())
-                  for name, holds in flags]
-        return 0, '\n'.join(lines) + '\n'
-
-    profile = reports.classify(structure)
-    if as_json:
+        kind, unit = 'lattice', 'elements'
+        profile = {'distributive': structure.is_distributive(),
+                   'pseudocomplemented': structure.is_pseudocomplemented(),
+                   'stone': structure.is_stone(),
+                   'heyting': structure.is_heyting(),
+                   'boolean': structure.is_boolean()}
+    else:
+        kind, unit = 'poset', 'points'
+        profile = reports.classify(structure).as_dict()
+    if args['json']:
         return 0, json.dumps({'schema': SCHEMA, 'command': 'check',
-                              'input': source, 'kind': 'poset',
-                              'size': structure.n,
-                              'profile': profile.as_dict()},
+                              'input': args['input'], 'kind': kind,
+                              'size': structure.n, 'profile': profile},
                              sort_keys=True) + '\n'
-    lines = ['poset with %d points' % structure.n]
-    lines += ['  %-20s %s' % (flag, str(getattr(profile, flag)).lower())
-              for flag in reports.PROFILE_FLAGS]
+    lines = ['%s with %d %s' % (kind, structure.n, unit)]
+    lines += ['  %-20s %s' % (name, str(holds).lower())
+              for name, holds in profile.items()]
     return 0, '\n'.join(lines) + '\n'
 
 

@@ -22,6 +22,7 @@ extension of inclusion.
 from collections import namedtuple
 from types import SimpleNamespace
 
+from . import kernels
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice, SetLabels
 from .poset import DOWNSET_CAP, Poset
@@ -35,28 +36,16 @@ LATTICE_CACHE_ELEMENTS = 16 * DOWNSET_CAP
 def inclusion_lattice(masks):
     '''Sets under inclusion, element i being masks[i]; builds every lattice of sets.
 
-    The masks must be strictly ascending.  Then a set can lie inside
-    another only if it comes first, so one pass over the pairs i <= j
-    fills the up rows and the down rows together.
+    The masks must be strictly ascending, as kernels.inclusion_rows needs;
+    any other order raises InputError.
     '''
-    n = len(masks)
-    up = [0] * n
-    down = [0] * n
-    bits = [1 << j for j in range(n)]
     last = -1
-    for i, s in enumerate(masks):
+    for s in masks:
         if s <= last:
             raise InputError('the sets of an inclusion lattice must be distinct '
                              'and ascending: %d follows %d' % (s, last))
         last = s
-        bit = bits[i]
-        row = 0
-        for j in range(i, n):
-            t = masks[j]
-            if s | t == t:
-                row |= bits[j]
-                down[j] |= bit
-        up[i] = row
+    up, down = kernels.inclusion_rows(masks)
     return Lattice._from_rows(up, down, SetLabels(masks))
 
 
@@ -117,15 +106,8 @@ def spec_poset(lattice):
 
 
 def _spectrum(primes):
-    'Poset of the given prime ideals under inclusion, in their order.'
-    rows = []
-    for ideal in primes:
-        row = 0
-        for j, other in enumerate(primes):
-            if ideal.mask & ~other.mask == 0:
-                row |= 1 << j
-        rows.append(row)
-    return Poset.from_up_rows(rows)
+    'Poset of the given prime ideals under inclusion, in their ascending order.'
+    return Poset.from_up_rows(kernels.inclusion_rows([ideal.mask for ideal in primes])[0])
 
 
 def d_map(lattice, a):
@@ -148,14 +130,8 @@ class Isomorphism(namedtuple('Isomorphism', 'source target forward backward')):
         for b in range(target.n):
             if forward[backward[b]] != b:
                 raise InputError('assignments are not mutually inverse')
-        for a in range(source.n):
-            row = source.up[a]
-            image = 0
-            for j in range(source.n):
-                if row >> j & 1:
-                    image |= 1 << forward[j]
-            if image != target.up[forward[a]]:
-                raise InputError('assignment does not preserve the order both ways')
+        if kernels.relabel(source.up, backward) != list(target.up):
+            raise InputError('assignment does not preserve the order both ways')
         return super().__new__(cls, source, target, forward, backward)
 
 

@@ -233,7 +233,7 @@ def _dot_quote(label):
     return '"%s"' % str(label).replace('\\', '\\\\').replace('"', '\\"')
 
 
-def to_dot(structure, name='finspec'):
+def to_dot(structure):
     'Hasse diagram in DOT, drawn upward so maximal points end up on top.'
     if isinstance(structure, Lattice):
         covers = structure.order_poset().covers()
@@ -245,7 +245,7 @@ def to_dot(structure, name='finspec'):
         size = structure.n
     else:
         raise InputError('expected a Poset or a Lattice, got %r' % (structure,))
-    lines = ['digraph %s {' % name, '  rankdir=BT;']
+    lines = ['digraph finspec {', '  rankdir=BT;']
     for x in range(size):
         lines.append('  %d [label=%s];' % (x, _dot_quote(labels[x])))
     for low, high in covers:

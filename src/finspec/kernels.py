@@ -32,6 +32,11 @@ heyting_witness stops at the first row missing one; implication_index
 keeps all as a flat n*n table, 0.34-0.40 s of CPU on the 1,024-element
 bool10 (Python 3.11, one 2-core x86 host).
 
+relabel renumbers a relation by a list of its points, for induced
+subposets, canonical forms and isomorphism checks; inclusion_rows gives
+the order of strictly ascending sets, for every lattice of sets and the
+prime spectrum.
+
 subset_closures tabulates the up- or down-closure of all 2**n subsets,
 one OR per entry, for the readings that scan the powerset.
 '''
@@ -91,6 +96,53 @@ def transpose(rows):
             cols[low.bit_length() - 1] |= 1 << i
             row ^= low
     return cols
+
+
+def relabel(rows, order):
+    '''Rows of the points in order, renumbered so point k is order[k].
+
+    order lists distinct points; bits of points it leaves out are
+    dropped, so a subset of the points gives the induced relation.
+    '''
+    # bit of each listed point in the new numbering
+    position = [0] * len(rows)
+    kept = 0
+    for k, i in enumerate(order):
+        position[i] = 1 << k
+        kept |= 1 << i
+    out = []
+    for i in order:
+        row = 0
+        rest = rows[i] & kept
+        while rest:
+            low = rest & -rest
+            row |= position[low.bit_length() - 1]
+            rest ^= low
+        out.append(row)
+    return out
+
+
+def inclusion_rows(masks):
+    '''Up and down rows of the sets masks[i] under inclusion.
+
+    The masks must be strictly ascending.  Then a set can lie inside
+    another only if it comes first, so one pass over the pairs i <= j
+    fills both row lists.
+    '''
+    n = len(masks)
+    up = [0] * n
+    down = [0] * n
+    bits = [1 << j for j in range(n)]
+    for i, s in enumerate(masks):
+        bit = bits[i]
+        row = 0
+        for j in range(i, n):
+            t = masks[j]
+            if s | t == t:
+                row |= bits[j]
+                down[j] |= bit
+        up[i] = row
+    return up, down
 
 
 def downset_masks(rows, cap=None):
@@ -271,15 +323,7 @@ def canonical_key(rows):
         return n
 
     rec(False)
-    out = []
-    for p in range(n):
-        src = rows[best_perm[p]]
-        mask = 0
-        for q in range(n):
-            if src >> best_perm[q] & 1:
-                mask |= 1 << q
-        out.append(mask)
-    return tuple(out)
+    return tuple(relabel(rows, best_perm))
 
 
 def _extension_pairs(rows):

@@ -317,10 +317,10 @@ class Lattice:
         return ideals
 
     def minimal_prime_ideals(self):
+        'Prime ideals containing no other prime, ascending by member mask.'
         primes = self.prime_ideals()
-        return [ideal for ideal in primes
-                if not any(other.mask != ideal.mask and other.mask & ~ideal.mask == 0
-                           for other in primes)]
+        _, down = kernels.inclusion_rows([ideal.mask for ideal in primes])
+        return [ideal for i, ideal in enumerate(primes) if down[i] == 1 << i]
 
     def non_coprime_witness(self):
         'Pair of distinct minimal primes with no join reaching top, or None.'

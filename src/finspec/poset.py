@@ -244,9 +244,6 @@ class Poset:
     def is_patch_closed_mask(self, mask):
         return self.is_patch_open_mask(self.full & ~mask)
 
-    def is_patch_closed(self, points):
-        return self.is_patch_closed_mask(self.mask_of(points))
-
     def patch_closure_mask(self, mask):
         down, up = self.down, self.up
         out = 0
@@ -271,15 +268,9 @@ class Poset:
                 return False
         return True
 
-    def is_constructible(self, points):
-        return self.is_constructible_mask(self.mask_of(points))
-
     def is_compact_mask(self, mask):
         'Compact iff the down-closure is patch closed.'
         return self.is_patch_closed_mask(self.down_closure_mask(mask))
-
-    def is_compact(self, points):
-        return self.is_compact_mask(self.mask_of(points))
 
     # ------------------------------------------------------------------
     # structure predicates
@@ -363,28 +354,13 @@ class Poset:
 
     def induced_order(self, order):
         '''Subposet on the points of order, numbered as order lists them:
-        its point k is order[k].
+        its point k is order[k] (kernels.relabel).
 
         induced and induced_mask number the carrier ascending; any other
         order gives an isomorphic copy with other up rows.  Like the
         _mask twins it trusts its argument: distinct points of this poset.
         '''
-        # bit of each carrier point in the subposet's numbering
-        position = [0] * self.n
-        carrier_mask = 0
-        for b, j in enumerate(order):
-            position[j] = 1 << b
-            carrier_mask |= 1 << j
-        rows = []
-        for i in order:
-            row = 0
-            rest = self.up[i] & carrier_mask
-            while rest:
-                low = rest & -rest
-                row |= position[low.bit_length() - 1]
-                rest ^= low
-            rows.append(row)
-        return Poset.from_up_rows(rows)
+        return Poset.from_up_rows(kernels.relabel(self.up, order))
 
     def min_point_map(self):
         'x -> its unique minimal point, or None when some x has several.'

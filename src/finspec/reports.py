@@ -16,22 +16,23 @@ quote them (_quotes, and closed_subspaces_pc on every closed subspace),
 so only those two caches keep every poset; the other four keep the last
 128, lru_cache's default.  The reports kept still mostly name no
 witness and repeat a handful of values.  So once an entry's hypotheses
-and readings have all run, _evaluate swaps each witness-free Condition,
-the hypotheses and a witness-free report for one shared equal copy
-(hash-consing); _survey does the same with its per-poset row.  The pool
-is read only after evaluation, never in place of it, so every reading
-still runs on every poset and the caches count as before.  A record
-with a witness is never pooled, so the pool holds only values made of
-the registry's labels, the profile flags and booleans: it stays bounded
-by those, whatever the size of the sweep.
+and readings have all run, _evaluate swaps a witness-free report for one
+shared equal copy (hash-consing); _survey does the same with its
+per-poset row.  The pool is read only after evaluation, never in place
+of it, so every reading still runs on every poset and the caches count
+as before.  A report with a witness is never pooled, so the pool holds
+only values made of the registry's labels, the profile flags and
+booleans: it stays bounded by those, whatever the size of the sweep.
 
 closed_subspaces_pc builds each proper closed subspace numbered by
 degree (closed_subspaces), so isomorphic subspaces of one poset mostly
 have equal rows and meet one cached pc-space report; the whole space
-keeps the poset's numbering and meets the poset's own.  Within
-pc-space, closures_constructible and regularizations_compact_open map
-every down-set to a set and test each distinct set once, still naming
-the first failing down-set as witness.
+keeps the poset's numbering and meets the poset's own.  The readings
+that map each set of a family (the down-sets, the up-sets or every
+subset) to an image and test it share one loop, _every_image: it tests
+each distinct image once and names the first failing set as witness.
+It is a loop, not a verdict: each reading still brings its own family,
+image and test.
 
 Several conditions are trivially true on a finite space (patch-closed
 sets, compactness, constructibility).  They are still computed from
@@ -123,35 +124,37 @@ def normal_and_lattice_pc(poset, lattice):
     return poset.is_normal() and lattice.is_pseudocomplemented(), None
 
 
-def _down_set_images(poset, image, test):
-    '''Holds when test accepts image(d) for every down-set d; else the
-    first failing d, as a set, is the witness.
+def _every_image(poset, sets, image, test):
+    '''Holds when test accepts image(s) for every s in sets; else the
+    first failing s, as a set, is the witness.
 
-    Many down-sets share an image, so test runs once per distinct image.
+    Many sets share an image, so test runs once per distinct image.
     '''
     tested = {}
-    for d in poset.downset_masks_all:
-        mask = image(d)
+    for s in sets:
+        mask = image(s)
         holds = tested.get(mask)
         if holds is None:
             holds = tested[mask] = test(mask)
         if not holds:
-            return False, poset.set_of(d)
+            return False, poset.set_of(s)
     return True, None
 
 
 def closures_constructible(poset, lattice):
-    return _down_set_images(poset, poset.up_closure_mask, poset.is_constructible_mask)
+    return _every_image(poset, poset.downset_masks_all, poset.up_closure_mask,
+                        poset.is_constructible_mask)
 
 
 def regularizations_compact_open(poset, lattice):
-    return _down_set_images(poset, poset.regularize_mask, lambda mask: (
-        poset.is_down_set_mask(mask) and poset.is_compact_mask(mask)))
+    return _every_image(poset, poset.downset_masks_all, poset.regularize_mask,
+                        lambda mask: (poset.is_down_set_mask(mask)
+                                      and poset.is_compact_mask(mask)))
 
 
 def closures_open(poset, lattice):
-    return _no_failure(poset, (d for d in poset.downset_masks_all
-                               if not poset.is_down_set_mask(poset.up_closure_mask(d))))
+    return _every_image(poset, poset.downset_masks_all, poset.up_closure_mask,
+                        poset.is_down_set_mask)
 
 
 def confluent(poset, lattice):
@@ -174,13 +177,13 @@ def min_map_spectral(poset, lattice):
 
 
 def downclosures_open(poset, lattice):
-    return _no_failure(poset, (c for c in poset.upset_masks_all
-                               if not poset.is_down_set_mask(poset.down_closure_mask(c))))
+    return _every_image(poset, poset.upset_masks_all, poset.down_closure_mask,
+                        poset.is_down_set_mask)
 
 
 def downclosures_clopen(poset, lattice):
-    return _no_failure(poset, (c for c in poset.upset_masks_all
-                               if not poset.is_clopen_mask(poset.down_closure_mask(c))))
+    return _every_image(poset, poset.upset_masks_all, poset.down_closure_mask,
+                        poset.is_clopen_mask)
 
 
 def constructible_closures(poset, lattice):
@@ -250,14 +253,13 @@ def inverse_closure_is_patch(poset, lattice):
     they had.  The patch closure is taken once per distinct down-set.
     '''
     closures = kernels.subset_closures(poset.dual().up)
-    patch = {d: poset.patch_closure_mask(d) for d in set(closures)}
-    return _no_failure(poset, (s for s, d in enumerate(closures) if d != patch[d]))
+    return _every_image(poset, range(len(closures)), closures.__getitem__,
+                        lambda d: d == poset.patch_closure_mask(d))
 
 
 def max_sets_patch_closed(poset, lattice):
-    return _no_failure(poset, (
-        d for d in poset.downset_masks_all
-        if not poset.is_patch_closed_mask(poset.relative_max_mask(d))))
+    return _every_image(poset, poset.downset_masks_all, poset.relative_max_mask,
+                        poset.is_patch_closed_mask)
 
 
 def max_meets_compact(poset, lattice):
@@ -276,8 +278,8 @@ def max_meets_compact(poset, lattice):
 
 
 def min_sets_compact(poset, lattice):
-    return _no_failure(poset, (c for c in poset.upset_masks_all
-                               if not poset.is_compact_mask(poset.relative_min_mask(c))))
+    return _every_image(poset, poset.upset_masks_all, poset.relative_min_mask,
+                        poset.is_compact_mask)
 
 
 def boolean_space(poset, lattice):
@@ -377,7 +379,7 @@ THEOREMS = tuple(REGISTRY)
 
 # Witness-free records, each kept once: one table per record type, since
 # a named tuple compares equal to the plain tuple of its fields.
-_CONDITIONS, _HYPOTHESES, _REPORTS, _ROWS = {}, {}, {}, {}
+_REPORTS, _ROWS = {}, {}
 
 
 def _shared(table, record):
@@ -388,7 +390,7 @@ def _shared(table, record):
 def _evaluate(poset, theorem):
     '''Every hypothesis and reading of one registry entry, each on its own.
 
-    Only then are the witness-free records swapped for their shared copies.
+    Only then is a witness-free report swapped for its shared copy.
     '''
     entry = REGISTRY[theorem]
     lattice = None if entry.lattice is None else globals()[entry.lattice](poset)
@@ -397,17 +399,8 @@ def _evaluate(poset, theorem):
     for label, group, reading in entry.readings:
         holds, witness = reading(poset, lattice)
         conditions.append(Condition(label, bool(holds), group, witness))
-    if any(c.witness is not None for c in conditions):
-        return ConditionReport(theorem, tuple(
-            c if c.witness is not None else _shared(_CONDITIONS, c) for c in conditions),
-            _shared(_HYPOTHESES, hypotheses))
-    # the whole report is looked up first: a hit hashes each condition once
-    report = _REPORTS.get(ConditionReport(theorem, tuple(conditions), hypotheses))
-    if report is None:
-        report = ConditionReport(theorem, tuple(_shared(_CONDITIONS, c) for c in conditions),
-                                 _shared(_HYPOTHESES, hypotheses))
-        _REPORTS[report] = report
-    return report
+    report = ConditionReport(theorem, tuple(conditions), hypotheses)
+    return report if report.witness is not None else _shared(_REPORTS, report)
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +544,7 @@ def _survey(poset):
         report = theorem_report(poset, theorem)
         if report.hypothesis_satisfied and not report.agreement:
             broken.append(theorem)
-    return _shared(_ROWS, (tuple(profile.as_dict().items()), tuple(broken)))
+    return _shared(_ROWS, (profile, tuple(broken)))
 
 
 SweepRow = namedtuple('SweepRow', 'n count disagreements class_counts')
@@ -610,8 +603,8 @@ def sweep(max_points, mode='unlabeled', jobs=1):
                 results = pool.map(_survey, posets)
             class_counts = {flag: 0 for flag in PROFILE_FLAGS}
             size_disagreements = 0
-            for index, (flags, broken) in enumerate(results):
-                for flag, holds in flags:
+            for index, (profile, broken) in enumerate(results):
+                for flag, holds in zip(PROFILE_FLAGS, profile):
                     if holds:
                         class_counts[flag] += 1
                     elif flag not in firsts:

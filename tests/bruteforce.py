@@ -4,10 +4,11 @@ Everything here works on sets of pairs or explicit subset scans, never
 on the bitmask kernels under test, so a shared bug cannot hide.  Sizes
 are tiny by construction; nothing here is meant to be fast.
 
-The last section is the exception: it holds the set-by-set readings of
-pc-space and heyting, which call the same Poset predicates as the
-readings in finspec.reports but share nothing between sets, so a test
-can patch a predicate and check that both loops name the same culprit.
+The last section is the exception: it holds the set-by-set readings
+that finspec.reports runs over a family of sets.  They call the same
+Poset predicates as the readings there but share nothing between sets,
+so a test can patch a predicate and check that both loops name the same
+culprit.
 '''
 
 from itertools import combinations, permutations
@@ -397,7 +398,7 @@ def inverse_closure_is_patch_by_scan(rows):
 
 
 # ----------------------------------------------------------------------
-# set-by-set readings: one closed subspace, one down-set at a time, no memo
+# set-by-set readings: one closed subspace or one set at a time, no memo
 
 
 def closed_subspaces_pc_one_by_one(poset):
@@ -424,4 +425,53 @@ def regularizations_compact_open_one_by_one(poset):
         r = poset.regularize_mask(d)
         if not (poset.is_down_set_mask(r) and poset.is_compact_mask(r)):
             return False, poset.set_of(d)
+    return True, None
+
+
+def closures_open_one_by_one(poset):
+    'The up-closure of each down-set, tested for openness one at a time.'
+    for d in poset.downset_masks_all:
+        if not poset.is_down_set_mask(poset.up_closure_mask(d)):
+            return False, poset.set_of(d)
+    return True, None
+
+
+def downclosures_open_one_by_one(poset):
+    'The down-closure of each up-set, tested for openness one at a time.'
+    for c in poset.upset_masks_all:
+        if not poset.is_down_set_mask(poset.down_closure_mask(c)):
+            return False, poset.set_of(c)
+    return True, None
+
+
+def downclosures_clopen_one_by_one(poset):
+    'The down-closure of each up-set, tested for clopenness one at a time.'
+    for c in poset.upset_masks_all:
+        if not poset.is_clopen_mask(poset.down_closure_mask(c)):
+            return False, poset.set_of(c)
+    return True, None
+
+
+def inverse_closure_is_patch_one_by_one(poset):
+    'The down-closure of each subset, compared with its patch closure one at a time.'
+    for s in range(1 << poset.n):
+        d = poset.down_closure_mask(s)
+        if d != poset.patch_closure_mask(d):
+            return False, poset.set_of(s)
+    return True, None
+
+
+def max_sets_patch_closed_one_by_one(poset):
+    'The maximal points of each down-set, tested for patch-closedness one at a time.'
+    for d in poset.downset_masks_all:
+        if not poset.is_patch_closed_mask(poset.relative_max_mask(d)):
+            return False, poset.set_of(d)
+    return True, None
+
+
+def min_sets_compact_one_by_one(poset):
+    'The minimal points of each up-set, tested for compactness one at a time.'
+    for c in poset.upset_masks_all:
+        if not poset.is_compact_mask(poset.relative_min_mask(c)):
+            return False, poset.set_of(c)
     return True, None

@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,35 @@ def test_downsets_cap():
     with pytest.raises(ResourceLimitError):
         kernels.downset_masks(anti, 4096)
     assert len(kernels.downset_masks(anti)) == 1 << 13
+
+
+def _renumbered_by_pairs(rows, order):
+    'Rows of the points of order, point k being order[k], read off the pair set.'
+    rel = {(i, j) for i, row in enumerate(rows) for j in bf.members(row)}
+    return [sum(1 << b for b in range(len(order)) if (a, order[b]) in rel)
+            for a in order]
+
+
+def test_relabel_matches_renumbering_by_pairs():
+    # every ordering of every subset up to 4 points, every permutation at 5
+    for n in range(6):
+        lengths = range(n + 1) if n <= 4 else (n,)
+        for rows in kernels.unlabeled_reps(n):
+            for length in lengths:
+                for order in permutations(range(n), length):
+                    assert kernels.relabel(rows, order) == _renumbered_by_pairs(rows, order)
+
+
+def test_inclusion_rows_match_pairwise_subset_scan():
+    for n in range(7):
+        for rows in kernels.unlabeled_reps(n):
+            poset = Poset.from_up_rows(rows)
+            for masks in (poset.downset_masks_all, poset.upset_masks_all):
+                pairs = [(i, j) for i, s in enumerate(masks) for j, t in enumerate(masks)
+                         if set(bf.members(s)) <= set(bf.members(t))]
+                up = bf.rows_of_rel(len(masks), pairs)
+                down = bf.rows_of_rel(len(masks), [(j, i) for i, j in pairs])
+                assert kernels.inclusion_rows(masks) == (list(up), list(down))
 
 
 def test_canonical_key_constant_under_relabeling():
