@@ -73,11 +73,11 @@ def _plain(value):
 def _run_check(structure, args):
     if isinstance(structure, Lattice):
         kind, unit = 'lattice', 'elements'
+        flags = reports.lattice_flags(structure, structure)
         profile = {'distributive': structure.is_distributive(),
-                   'pseudocomplemented': structure.is_pseudocomplemented(),
-                   'stone': structure.is_stone(),
-                   'heyting': structure.is_heyting(),
-                   'boolean': structure.is_boolean()}
+                   'pseudocomplemented': flags['pseudocomplemented'],
+                   'stone': flags['stone'], 'heyting': flags['heyting'],
+                   'boolean': flags['boolean']}
     else:
         kind, unit = 'poset', 'points'
         profile = reports.classify(structure).as_dict()

@@ -25,9 +25,10 @@ from types import SimpleNamespace
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice, SetLabels
-from .poset import DOWNSET_CAP, Poset
+from .poset import DOWNSET_CAP, Poset, check_size
 
-ENVELOPE_MAX_POINTS = 12
+# the most points whose powerset, of 2**n elements, fits in DOWNSET_CAP
+ENVELOPE_MAX_POINTS = DOWNSET_CAP.bit_length() - 1
 # the down-set lattice cache holds at most this many elements, summed
 # over its lattices: 16 lattices of DOWNSET_CAP elements
 LATTICE_CACHE_ELEMENTS = 16 * DOWNSET_CAP
@@ -37,8 +38,10 @@ def inclusion_lattice(masks):
     '''Sets under inclusion, element i being masks[i]; builds every lattice of sets.
 
     The masks must be strictly ascending, as kernels.inclusion_rows needs;
-    any other order raises InputError.
+    any other order raises InputError.  More than DOWNSET_CAP masks raise
+    ResourceLimitError before the pair loop of inclusion_rows runs.
     '''
+    check_size('lattice', len(masks))
     last = -1
     for s in masks:
         if s <= last:
@@ -177,8 +180,8 @@ def boolean_envelope(poset):
     lattice elements to powerset elements.
     '''
     if poset.n > ENVELOPE_MAX_POINTS:
-        raise ResourceLimitError('boolean envelope capped at %d points'
-                                 % ENVELOPE_MAX_POINTS)
+        raise ResourceLimitError('boolean envelope capped at %d points (ENVELOPE_MAX_POINTS), '
+                                 'got %d' % (ENVELOPE_MAX_POINTS, poset.n))
     envelope = inclusion_lattice(range(1 << poset.n))
     embedding = poset.downset_masks_all
     return envelope, embedding

@@ -37,17 +37,11 @@ import re
 
 from .errors import InputError, ResourceLimitError
 from .lattice import Lattice
-from .poset import DOWNSET_CAP, Poset, is_int
+from .poset import Poset, check_size, is_int
 
 _HEADER = re.compile(r'^(poset|lattice)\s+(\d+)$')
 _PAIR = re.compile(r'^(\d+)\s*<\s*(\d+)$')
 _BOUND = re.compile(r'^(bottom|top)\s+(\d+)$')
-
-
-def _check_size(kind, size):
-    if size > DOWNSET_CAP:
-        raise ResourceLimitError('%s size capped at %d (DOWNSET_CAP), got %d'
-                                 % (kind, DOWNSET_CAP, size))
 
 
 def _number(digits, lineno):
@@ -74,7 +68,7 @@ def parse_text(text):
             if kind is not None:
                 raise InputError('line %d: second header' % lineno)
             kind, size = m.group(1), _number(m.group(2), lineno)
-            _check_size(kind, size)
+            check_size(kind, size)
             continue
         if kind is None:
             raise InputError('line %d: expected a "poset N" or "lattice N" '
@@ -127,7 +121,7 @@ def from_json_obj(obj):
     if kind not in ('poset', 'lattice'):
         raise InputError('json kind must be "poset" or "lattice", got %r' % kind)
     size = _require(obj, 'size', int)
-    _check_size(kind, size)
+    check_size(kind, size)
     raw_pairs = _require(obj, 'less_than', list)
     pairs = []
     for entry in raw_pairs:

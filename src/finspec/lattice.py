@@ -29,16 +29,16 @@ else in the ideal layer builds the join table.  The second prime route
 takes the elements not above each join-irreducible j; they form an ideal
 exactly when j is join-prime, and PreconditionError names the first j
 that is not.
-A lattice has at most DOWNSET_CAP elements.  Absent values (a
-pseudocomplement or implication that does not exist) come back as None,
-never as an error.
+A lattice has at most DOWNSET_CAP elements, checked once on each way in
+before any super-linear step.  Absent values (a pseudocomplement or
+implication that does not exist) come back as None, never as an error.
 '''
 
 from functools import cached_property
 
 from . import kernels
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .poset import DOWNSET_CAP, Poset, is_int
+from .poset import Poset, check_size, is_int
 
 
 class SetLabels:
@@ -64,35 +64,28 @@ class SetLabels:
         return hash(self.masks)
 
 
-def _check_size(n):
-    if n > DOWNSET_CAP:
-        raise ResourceLimitError('lattice capped at %d elements (DOWNSET_CAP), got %d'
-                                 % (DOWNSET_CAP, n))
-
-
 class Lattice:
     'Immutable finite bounded lattice on elements 0..n-1.'
 
     def __init__(self, n, relation=(), bottom=None, top=None, labels=None):
         if not is_int(n) or n < 1:
             raise InputError('a bounded lattice needs at least one element')
-        _check_size(n)  # before the order's closure, which is quadratic in n
+        check_size('lattice', n)  # before the order's closure, which is quadratic in n
         order = Poset(n, relation)
         self._adopt(order.up, order.down, bottom, top, labels)
 
     @classmethod
     def from_up_rows(cls, rows, labels=None):
         'Constructor from closed row masks; still validates lattice-ness.'
-        _check_size(len(rows))  # before the transpose
+        check_size('lattice', len(rows))  # before the transpose
         return cls._from_rows(rows, kernels.transpose(rows), labels)
 
     @classmethod
     def _from_rows(cls, up, down, labels):
-        'Constructor from closed up rows and their transpose, down.'
+        'From closed up rows and their transpose, down, of a size already checked.'
         self = object.__new__(cls)
         if not up:
             raise InputError('a bounded lattice needs at least one element')
-        _check_size(len(up))
         self._adopt(up, down, None, None, labels)
         return self
 

@@ -19,9 +19,16 @@ is built from these masks.
 from functools import cached_property
 
 from . import kernels
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceLimitError
 
 DOWNSET_CAP = 4096
+
+
+def check_size(kind, size):
+    'ResourceLimitError for a poset or lattice of more than DOWNSET_CAP points or elements.'
+    if size > DOWNSET_CAP:
+        raise ResourceLimitError('%s size capped at %d (DOWNSET_CAP), got %d'
+                                 % (kind, DOWNSET_CAP, size))
 
 
 def is_int(value):

@@ -36,8 +36,14 @@ image and test.
 
 Several conditions are trivially true on a finite space (patch-closed
 sets, compactness, constructibility).  They are still computed from
-their definitions, never constant-folded, so a bug in the underlying
-operators would surface as a disagreement rather than stay hidden.
+their definitions, never constant-folded, so a predicate that wrongly
+refuses a set surfaces as a disagreement.  A faulty set function may
+not: closures_constructible, constructible_closures,
+inverse_closure_is_patch, max_sets_patch_closed, max_meets_compact and
+min_sets_compact test their images with predicates that accept every
+set, so they keep every verdict when subset_closures, relative_max_mask,
+relative_min_mask or (for the first) up_closure_mask return random
+masks.  Guarding those set functions is ROADMAP.md's item 15.
 '''
 
 from collections import namedtuple
@@ -513,14 +519,26 @@ class StructureProfile(namedtuple('StructureProfile', (
 
 PROFILE_FLAGS = StructureProfile._fields
 
+
+def lattice_flags(lattice, subject):
+    '''The boolean, heyting, stone and pseudocomplemented flags of lattice,
+    implications enforced; an AgreementError names subject.
+
+    is_boolean runs first: it alone can refuse, through is_distributive.'''
+    flags = dict(boolean=lattice.is_boolean(), heyting=lattice.is_heyting(),
+                 stone=lattice.is_stone(), pseudocomplemented=lattice.is_pseudocomplemented())
+    if flags['boolean'] and not (flags['heyting'] and flags['stone']):
+        raise AgreementError('boolean lattice must be heyting and stone: %r' % (subject,))
+    if (flags['heyting'] or flags['stone']) and not flags['pseudocomplemented']:
+        raise AgreementError('heyting or stone lattice must be pseudocomplemented: %r'
+                             % (subject,))
+    return flags
+
+
 def classify(poset):
     'Profile of the down-set lattice and the order shape, implications enforced.'
-    lattice = downset_lattice(poset)
-    profile = StructureProfile(
-        boolean=lattice.is_boolean(),
-        heyting=lattice.is_heyting(),
-        stone=lattice.is_stone(),
-        pseudocomplemented=lattice.is_pseudocomplemented(),
+    return StructureProfile(
+        **lattice_flags(downset_lattice(poset), poset),
         root_system=poset.is_root_system(),
         forest=poset.is_forest(),
         stranded=poset.is_stranded(),
@@ -528,12 +546,6 @@ def classify(poset):
         inv_normal=poset.is_inv_normal(),
         normal=poset.is_normal(),
     )
-    if profile.boolean and not (profile.heyting and profile.stone):
-        raise AgreementError('boolean lattice must be heyting and stone: %r' % (poset,))
-    if (profile.heyting or profile.stone) and not profile.pseudocomplemented:
-        raise AgreementError('heyting or stone lattice must be pseudocomplemented: %r'
-                             % (poset,))
-    return profile
 
 
 def _survey(poset):

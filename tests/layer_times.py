@@ -1,7 +1,7 @@
 '''CPU time and peak RSS of the lattice layers, each in a fresh process, as JSON.
 
     python3 -S tests/layer_times.py [--points 7] [--repeat 3] [--sweep]
-                                    [--out BENCH_layers.json]
+                                    [--count] [--out BENCH_layers.json]
 
 Run from anywhere; finspec is imported from the src directory next to
 this file.  The inputs are every isomorphism class of up to --points
@@ -42,6 +42,16 @@ median of each, and for sweep the sha256 of its stdout, which every
 run must repeat; then the Python version, the machine, its CPU count,
 the commit (git describe, "-dirty" when the tree differs from it) and
 the input count.  Standard library only.
+
+--count adds one more fresh process per layer, with PYTHONHASHSEED=0,
+that runs the layer's timed work under sys.settrace with
+frame.f_trace_opcodes set, and records beside the medians the opcodes
+it ran and its Python calls (a generator resuming counts as a call).
+These counts do not move with host load, so they can compare two
+commits where CPU time cannot; but work done in C, such as
+bytes.translate, big-int arithmetic or sorted, is invisible to them.
+The import layer's count covers what `import finspec.cli` loads beyond
+the modules this script has loaded already.
 '''
 
 import argparse
@@ -92,23 +102,59 @@ def _inputs(points):
 def _child(layer, points):
     '''Run one layer in this process; return (CPU seconds, input count,
     peak RSS in MB, sha256 of the output or None).'''
-    seconds, count, digest = _timed(layer, points)
+    work, count = _work(layer, points)
+    start = time.process_time()
+    digest = work()
+    seconds = time.process_time() - start
     return seconds, count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, digest
 
 
-def _timed(layer, points):
-    'CPU seconds of one layer run in this process, its input count and output digest.'
+def _counted_child(layer, points):
+    '''Run one layer in this process under sys.settrace; return the
+    opcodes it ran and its Python calls (generator resumptions included).'''
+    work, _ = _work(layer, points)
+    opcodes = calls = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal opcodes
+        if event == 'opcode':
+            opcodes += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        nonlocal calls
+        calls += 1
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    sys.settrace(on_call)
+    try:
+        work()
+    finally:
+        sys.settrace(None)
+    return opcodes, calls
+
+
+def _work(layer, points):
+    '''The work one layer measures, as a function of no arguments that
+    returns the sha256 of what it prints or None, and the input count or
+    None; the inputs are built before this returns.'''
     sys.path.insert(0, str(SRC))
+    if layer == 'import':
+        # only the modules this script has loaded come before the work
+        def work():
+            import finspec.cli
+        return work, None
     from finspec import cli, duality, reports
     if layer == 'sweep':
-        printed = io.StringIO()
-        start = time.process_time()
-        with contextlib.redirect_stdout(printed):
-            code = cli.main(['sweep', str(points), '--json'])
-        seconds = time.process_time() - start
-        if code != 0:
-            raise SystemExit('sweep %d exited %d' % (points, code))
-        return seconds, None, hashlib.sha256(printed.getvalue().encode()).hexdigest()
+        def work():
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli.main(['sweep', str(points), '--json'])
+            if code != 0:
+                raise SystemExit('sweep %d exited %d' % (points, code))
+            return hashlib.sha256(printed.getvalue().encode()).hexdigest()
+        return work, None
     # what the layers that read lattices built before the clock do with each
     on_lattices = {
         'pseudocomplement_vector': lambda lat: lat.is_pseudocomplemented(),
@@ -123,28 +169,42 @@ def _timed(layer, points):
     if layer in on_lattices:
         run = on_lattices[layer]
         lattices = [duality.inclusion_lattice(m) for m in masks]
-        start = time.process_time()
-        for lat in lattices:
-            run(lat)
-    elif layer == 'closed_subspaces_pc':
-        start = time.process_time()
-        for poset in posets:
-            reports.closed_subspaces_pc(poset, None)
-    elif layer == 'heyting_report':
-        start = time.process_time()
-        for poset in posets:
-            reports.heyting_report(poset)
-    elif layer == 'poset_roundtrip':
-        start = time.process_time()
-        for poset in posets:
-            duality.poset_roundtrip(poset)
-    else:
-        start = time.process_time()
-        lattices = [duality.inclusion_lattice(m) for m in masks]
-        if layer == 'downset_lattice+join':
+
+        def work():
             for lat in lattices:
-                lat.join(0, 0)
-    return time.process_time() - start, len(posets), None
+                run(lat)
+    elif layer == 'closed_subspaces_pc':
+        def work():
+            for poset in posets:
+                reports.closed_subspaces_pc(poset, None)
+    elif layer == 'heyting_report':
+        def work():
+            for poset in posets:
+                reports.heyting_report(poset)
+    elif layer == 'poset_roundtrip':
+        def work():
+            for poset in posets:
+                duality.poset_roundtrip(poset)
+    else:
+        def work():
+            lattices = [duality.inclusion_lattice(m) for m in masks]
+            if layer == 'downset_lattice+join':
+                for lat in lattices:
+                    lat.join(0, 0)
+    return work, len(posets)
+
+
+def _child_command(layer, points):
+    return [sys.executable, '-S', __file__, '--child', layer, '--points', str(points)]
+
+
+def work_counts(layer, points):
+    '''Opcodes and Python calls of one run of layer, traced in a fresh
+    process with PYTHONHASHSEED=0.'''
+    done = subprocess.run(_child_command(layer, points) + ['--count'],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONHASHSEED='0'))
+    return tuple(json.loads(done.stdout))
 
 
 def _commit():
@@ -163,12 +223,15 @@ def main(argv=None):
     parser.add_argument('--repeat', type=int, default=3)
     parser.add_argument('--sweep', action='store_true',
                         help="also time cli.main(['sweep', POINTS, '--json'])")
+    parser.add_argument('--count', action='store_true',
+                        help='also count the opcodes and calls of one traced run per layer')
     parser.add_argument('--out', default=str(ROOT / 'BENCH_layers.json'),
                         help='where the JSON goes besides stdout')
     parser.add_argument('--child', help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(_child(args.child, args.points)))
+        run = _counted_child if args.count else _child
+        print(json.dumps(run(args.child, args.points)))
         return 0
     layers = LAYERS + ('sweep',) * args.sweep
     out = {'python': platform.python_version(), 'machine': platform.machine(),
@@ -179,8 +242,7 @@ def main(argv=None):
         if layer == 'import':
             command = [sys.executable, '-S', '-c', IMPORT_CHILD, str(SRC)]
         else:
-            command = [sys.executable, '-S', __file__, '--child', layer,
-                       '--points', str(args.points)]
+            command = _child_command(layer, args.points)
         for _ in range(args.repeat):
             done = subprocess.run(command, capture_output=True, text=True, check=True)
             seconds, count, rss_mb, digest = json.loads(done.stdout)
@@ -196,7 +258,10 @@ def main(argv=None):
                                 'rss_mb': rss, 'median_rss_mb': statistics.median(rss)}
         if None not in digests:
             out['layers'][layer]['sha256'] = digests.pop()
-        print(layer, runs, rss, file=sys.stderr)
+        if args.count:
+            entry = out['layers'][layer]
+            entry['opcodes'], entry['calls'] = work_counts(layer, args.points)
+        print(layer, out['layers'][layer], file=sys.stderr)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + '\n')
     print(json.dumps(out, sort_keys=True))
     return 0

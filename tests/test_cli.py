@@ -18,7 +18,9 @@ from finspec.cli import main, parse_args
 from finspec.fileio import lattice_to_text, poset_to_text
 from finspec.duality import ENVELOPE_MAX_POINTS, downset_lattice
 from finspec.enumeration import STREAMS
+from finspec.errors import AgreementError
 from finspec.fixtures import antichain, chain_poset, v3
+from finspec.lattice import Lattice
 from finspec.poset import DOWNSET_CAP
 from finspec.reports import PROFILE_FLAGS, classify
 
@@ -45,6 +47,20 @@ def test_check_lattice_text(capsys):
     assert out.splitlines()[0] == 'lattice with 5 elements'
     assert '  pseudocomplemented   false' in out
     assert '  distributive         false' in out
+    assert [line.split()[0] for line in out.splitlines()[1:]] == [
+        'distributive', 'pseudocomplemented', 'stone', 'heyting', 'boolean']
+
+
+def test_check_on_a_lattice_enforces_the_flag_implications(capsys, monkeypatch):
+    # check and classify read one function for the lattice flags, so a
+    # boolean lattice that is not stone fails both the same way
+    monkeypatch.setattr(Lattice, 'is_stone', lambda self: False)
+    code, out, err = run(capsys, 'check', 'bool3')
+    assert code == 1 and out == ''
+    assert err.startswith('finspec: agreement failure: '
+                          'boolean lattice must be heyting and stone: Lattice(8, ')
+    with pytest.raises(AgreementError, match='boolean lattice must be heyting and stone'):
+        classify(antichain(2))
 
 
 def test_check_json_matches_classify(capsys):
@@ -353,10 +369,12 @@ def test_oversized_input_exits_three_at_once(capsys, tmp_path, text):
 
 
 @pytest.mark.parametrize('name, cap', [
-    ('chain4097', 'lattice capped at 4096 elements (DOWNSET_CAP), got 4097'),
+    ('chain4097', 'lattice size capped at 4096 (DOWNSET_CAP), got 4097'),
     ('chain' + '9' * 5000, 'chain<k> capped at k = 4096 (DOWNSET_CAP), got a 5000-digit k'),
-    ('bool' + '9' * 5000, 'bool<k> capped at k = 12 (BOOL_MAX_ATOMS), got a 5000-digit k'),
-], ids=['chain4097', 'chain-5000-digits', 'bool-5000-digits'])
+    ('bool13', 'boolean envelope capped at 12 points (ENVELOPE_MAX_POINTS), got 13'),
+    ('bool' + '9' * 5000,
+     'bool<k> capped at k = 12 (ENVELOPE_MAX_POINTS), got a 5000-digit k'),
+], ids=['chain4097', 'chain-5000-digits', 'bool13', 'bool-5000-digits'])
 def test_builtin_sizes_past_the_caps_exit_three_at_once(capsys, name, cap):
     # refused before the chain's order is closed, and before int() reads
     # a k it would refuse with a ValueError
@@ -383,7 +401,9 @@ def test_distributivity_scan_past_the_work_budget_exits_three(capsys, monkeypatc
 def test_default_work_budget_refuses_bool9_without_a_scan(capsys, monkeypatch):
     assert kernels.DISTRIBUTIVE_WORK_BUDGET == 256 ** 3
     scans = []
-    monkeypatch.setattr(kernels, 'distributive_witness', lambda *args: scans.append(args))
+    # nor does check compute any other flag before the refusal
+    for name in ('distributive_witness', 'pseudocomplement_vector', 'heyting_witness'):
+        monkeypatch.setattr(kernels, name, lambda *args: scans.append(args))
     code, out, err = run(capsys, 'check', 'bool9')
     assert code == 3 and out == '' and scans == []
     assert 'distributivity scan of 512 elements' in err

@@ -13,7 +13,7 @@ from finspec.errors import InputError, ResourceLimitError
 from finspec.fixtures import a2, antichain, bool_lattice, c2, chain_lattice, \
     l3, m3, n5, v3
 from finspec.lattice import Lattice, SetLabels
-from finspec.poset import Poset, are_isomorphic
+from finspec.poset import DOWNSET_CAP, Poset, are_isomorphic
 
 
 def test_downset_lattice_of_v3():
@@ -254,6 +254,8 @@ def test_envelope_bounds_preserved_everywhere():
 
 
 def test_caps():
+    # the largest powerset within DOWNSET_CAP
+    assert 2 ** ENVELOPE_MAX_POINTS <= DOWNSET_CAP < 2 ** (ENVELOPE_MAX_POINTS + 1)
     with pytest.raises(ResourceLimitError):
         downset_lattice(antichain(13))
     with pytest.raises(ResourceLimitError):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
-from finspec import cli, duality, kernels
+from finspec import cli, duality, kernels, lattice as lattice_module
 from finspec.duality import downset_lattice, inclusion_lattice
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
-from finspec.fixtures import bool_lattice, chain_lattice, d4, l3, m3, n5, v3
+from finspec.fixtures import (antichain, bool_lattice, chain_lattice, chain_poset, d4,
+                               l3, m3, n5, v3)
 from finspec.lattice import Lattice, LatticeIdeal
-from finspec.poset import DOWNSET_CAP, Poset
+from finspec.poset import DOWNSET_CAP, Poset, check_size
 from finspec.reports import classify, heyting_report, pc_space_report, stone_report
 
 
@@ -184,7 +185,7 @@ def test_minimal_primes_and_coprimality():
 def test_lattice_size_cap():
     # refused before any table is built; DOWNSET_CAP also keeps every
     # table entry inside two bytes
-    with pytest.raises(ResourceLimitError, match='lattice capped at %d elements'
+    with pytest.raises(ResourceLimitError, match='lattice size capped at %d'
                        % DOWNSET_CAP):
         Lattice.from_up_rows([1] * (DOWNSET_CAP + 1))
     # and before the order is closed: the relation is never read
@@ -194,6 +195,41 @@ def test_lattice_size_cap():
 
     with pytest.raises(ResourceLimitError, match='got %d' % (DOWNSET_CAP + 1)):
         Lattice(DOWNSET_CAP + 1, relation())
+
+
+def test_inclusion_lattice_refuses_before_the_pair_loop(monkeypatch):
+    def pair_loop(masks):
+        raise AssertionError('inclusion_rows ran')
+
+    monkeypatch.setattr(kernels, 'inclusion_rows', pair_loop)
+    with pytest.raises(ResourceLimitError, match='got %d' % (DOWNSET_CAP + 1)):
+        inclusion_lattice(range(DOWNSET_CAP + 1))
+
+
+def test_each_way_into_a_lattice_checks_the_cap_once(monkeypatch):
+    rows, covers = m3().up, m3().order_poset().covers()
+    checked = []
+
+    def counted(kind, size):
+        checked.append(size)
+        check_size(kind, size)
+
+    monkeypatch.setattr(lattice_module, 'check_size', counted)
+    monkeypatch.setattr(duality, 'check_size', counted)
+    Lattice.from_up_rows(rows)
+    assert checked == [5]
+    Lattice(5, covers)
+    assert checked == [5, 5]
+    inclusion_lattice((0, 1, 2, 3))
+    assert checked == [5, 5, 4]
+
+
+def test_fixture_sizes_below_range_are_refused_as_input():
+    # Poset and Lattice refuse them; the fixtures repeat no check
+    for build, k in ((chain_poset, -1), (antichain, -1), (chain_lattice, 0),
+                     (bool_lattice, -1)):
+        with pytest.raises(InputError):
+            build(k)
 
 
 def test_m3_has_no_prime_ideals():
