@@ -9,16 +9,17 @@ the canonical comparison map fails to be an isomorphism.
 The up-set lattice (the closed constructible sets) is the down-set
 lattice of the order dual, so both come from the one cached builder and
 read their member masks from Poset, which also holds DOWNSET_CAP.  That
-cache drops its least recently used lattices once the lattices it holds
-pass LATTICE_CACHE_ELEMENTS elements in all: a lattice's tables grow
-with the square of its elements, so a count of entries would not bound
-its memory.
+cache, from rows_cache, keys each lattice by the poset's rows, never by
+the poset, and drops its least recently used lattices once the lattices
+it holds pass LATTICE_CACHE_ELEMENTS elements in all.  The report caches
+of finspec.reports come from rows_cache too.
 
 Numbering is deterministic everywhere: down-sets, up-sets and prime
 ideals are sorted ascending by member mask, which is also a linear
 extension of inclusion.
 '''
 
+import functools
 from collections import namedtuple
 from types import SimpleNamespace
 
@@ -52,41 +53,60 @@ def inclusion_lattice(masks):
     return Lattice._from_rows(up, down, SetLabels(masks))
 
 
-class _LatticeCache:
-    '''Down-set lattices by poset, least recently used first out.
+def rows_cache(bound, weight=lambda value: 1):
+    '''Decorator: fn's results by the rows of the poset they are for,
+    least recently used first out.
 
-    The lattices held never pass LATTICE_CACHE_ELEMENTS elements in all,
-    read at each miss; one larger than that is evicted as it comes in.
-    cache_info and cache_clear stand in for an lru_cache's.
+    Posets compare equal exactly when their rows do, so a key of rows
+    hits and misses where the poset would, but holds no poset: once no
+    caller holds a poset, it goes, and every set it has cached with it.
+    Further arguments join the key.  The entries held never weigh more
+    than bound() in all, read at each miss; an entry weighs 1 unless
+    weight is given, and one heavier than the bound is evicted as it
+    comes in.  cache_info and cache_clear stand in for an lru_cache's.
+    A closure, not an instance's __call__, since a sweep makes some
+    hundred thousand calls.
     '''
+    def decorate(fn):
+        held = {}
+        hits = misses = elements = 0
 
-    def __init__(self):
-        self.cache_clear()
+        def cached(poset, *args):
+            nonlocal hits, misses, elements
+            key = (poset.up, *args) if args else poset.up
+            value = held.pop(key, None)
+            if value is not None:
+                hits += 1
+                held[key] = value  # the dict keeps insertion order: now the newest
+                return value
+            misses += 1
+            value = held[key] = fn(poset, *args)
+            elements += weight(value)
+            most = bound()
+            while elements > most:
+                elements -= weight(held.pop(next(iter(held))))
+            return value
 
-    def __call__(self, poset):
-        held = self._held
-        lattice = held.pop(poset, None)
-        if lattice is not None:
-            self.hits += 1
-            held[poset] = lattice  # the dict keeps insertion order: now the newest
-            return lattice
-        self.misses += 1
-        lattice = held[poset] = inclusion_lattice(poset.downset_masks_all)
-        self.elements += lattice.n
-        while self.elements > LATTICE_CACHE_ELEMENTS:
-            self.elements -= held.pop(next(iter(held))).n
-        return lattice
+        def cache_info():
+            'Hits, misses, the entries held now and their weight, elements.'
+            return SimpleNamespace(hits=hits, misses=misses, currsize=len(held),
+                                   elements=elements)
 
-    def cache_info(self):
-        'Hits, misses and the elements held now.'
-        return SimpleNamespace(hits=self.hits, misses=self.misses, elements=self.elements)
+        def cache_clear():
+            nonlocal hits, misses, elements
+            held.clear()
+            hits = misses = elements = 0
 
-    def cache_clear(self):
-        self._held = {}
-        self.hits = self.misses = self.elements = 0
+        cached.cache_info, cached.cache_clear = cache_info, cache_clear
+        return functools.update_wrapper(cached, fn)
+    return decorate
 
 
-_downset_lattice_cached = _LatticeCache()
+# a lattice weighs its elements: its tables grow with their square, so a
+# count of entries would not bound its memory
+@rows_cache(lambda: LATTICE_CACHE_ELEMENTS, weight=lambda lattice: lattice.n)
+def _downset_lattice_cached(poset):
+    return inclusion_lattice(poset.downset_masks_all)
 
 
 def downset_lattice(poset):
@@ -172,6 +192,13 @@ def poset_roundtrip(poset):
     return poset.isomorphic_to(spec_poset(downset_lattice(poset)))
 
 
+def check_envelope(n):
+    'ResourceLimitError for a powerset of more than ENVELOPE_MAX_POINTS points.'
+    if n > ENVELOPE_MAX_POINTS:
+        raise ResourceLimitError('boolean envelope capped at %d points (ENVELOPE_MAX_POINTS), '
+                                 'got %d' % (ENVELOPE_MAX_POINTS, n))
+
+
 def boolean_envelope(poset):
     '''Powerset lattice of the carrier plus the down-set lattice embedding.
 
@@ -179,9 +206,7 @@ def boolean_envelope(poset):
     lattice is the full powerset; the returned tuple maps down-set
     lattice elements to powerset elements.
     '''
-    if poset.n > ENVELOPE_MAX_POINTS:
-        raise ResourceLimitError('boolean envelope capped at %d points (ENVELOPE_MAX_POINTS), '
-                                 'got %d' % (ENVELOPE_MAX_POINTS, poset.n))
+    check_envelope(poset.n)
     envelope = inclusion_lattice(range(1 << poset.n))
     embedding = poset.downset_masks_all
     return envelope, embedding

@@ -13,16 +13,19 @@ force.
 A sweep asks for each report of a poset once, from _survey.  Only the
 pc-space and heyting reports are asked for again, by the readings that
 quote them (_quotes, and closed_subspaces_pc on every closed subspace),
-so only those two caches keep every poset; the other four keep the last
-128, lru_cache's default.  The reports kept still mostly name no
-witness and repeat a handful of values.  So once an entry's hypotheses
-and readings have all run, _evaluate swaps a witness-free report for one
-shared equal copy (hash-consing); _survey does the same with its
-per-poset row.  The pool is read only after evaluation, never in place
-of it, so every reading still runs on every poset and the caches count
-as before.  A report with a witness is never pooled, so the pool holds
-only values made of the registry's labels, the profile flags and
-booleans: it stays bounded by those, whatever the size of the sweep.
+so only those two caches keep up to 65,536 reports each; the other four
+keep the last 128.  Each cache comes from duality.rows_cache and is keyed
+by the poset's rows: it holds a row tuple and a report per entry, never
+the poset, so a swept poset goes with its cached sets once its survey
+ends.  The reports kept still mostly name no witness and repeat a
+handful of values.  So once an entry's hypotheses and readings have all
+run, _evaluate swaps a witness-free report for one shared equal copy
+(hash-consing); _survey does the same with its per-poset row.  The pool
+is read only after evaluation, never in place of it, so every reading
+still runs on every poset and the caches count as before.  A report
+with a witness is never pooled, so the pool holds only values made of
+the registry's labels, the profile flags and booleans: it stays bounded
+by those, whatever the size of the sweep.
 
 closed_subspaces_pc builds each proper closed subspace numbered by
 degree (closed_subspaces), so isomorphic subspaces of one poset mostly
@@ -47,12 +50,11 @@ masks.  Guarding those set functions is ROADMAP.md's item 15.
 '''
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import kernels
 # _evaluate and theorem_report look these and the report functions up by
 # name at call time, so a wrapper bound over one of the names sees every call
-from .duality import ENVELOPE_MAX_POINTS, downset_lattice, qccl_lattice
+from .duality import check_envelope, downset_lattice, qccl_lattice, rows_cache
 from .enumeration import check_args, enumerate_posets
 from .errors import (AgreementError, InputError, PreconditionError,
                      ResourceLimitError)
@@ -410,41 +412,40 @@ def _evaluate(poset, theorem):
 
 
 # ----------------------------------------------------------------------
-# cached reports, one per theorem.  Readings quote pc-space and heyting on
-# the poset, its dual and its closed subspaces, so those two caches keep
-# every poset; a sweep asks for each of the other four once per poset
+# cached reports, one per theorem, keyed by rows.  Readings quote pc-space
+# and heyting on the poset, its dual and its closed subspaces, so those two
+# caches keep 65,536 reports; a sweep asks for each of the other four once
+# per poset, so they keep 128, lru_cache's default
 
 
-@lru_cache(maxsize=65536)
+@rows_cache(lambda: 65536)
 def pc_space_report(poset):
     'Pseudocomplementation of the open-set lattice, read four ways.'
     return _evaluate(poset, 'pc-space')
 
 
-@lru_cache
+@rows_cache(lambda: 128)
 def stone_report(poset):
     'The six readings of the Stone property for the open-set lattice.'
     return _evaluate(poset, 'stone')
 
 
-@lru_cache
+@rows_cache(lambda: 128)
 def qccl_stone_report(poset):
     'Stone property of the closed-set lattice; the mirror of stone_report.'
     return _evaluate(poset, 'qccl-stone')
 
 
-@lru_cache(maxsize=65536)
+@rows_cache(lambda: 65536)
 def heyting_report(poset):
     'The four readings of the Heyting property for the open-set lattice.'
     # two readings scan the whole powerset, as boolean_envelope builds it,
     # so they share its cap instead of hanging on a long chain
-    if poset.n > ENVELOPE_MAX_POINTS:
-        raise ResourceLimitError('heyting readings scan every subset; '
-                                 'capped at %d points' % ENVELOPE_MAX_POINTS)
+    check_envelope(poset.n)
     return _evaluate(poset, 'heyting')
 
 
-@lru_cache
+@rows_cache(lambda: 128)
 def root_forest_report(poset):
     '''Heyting behavior of the two sides under chain-shaped fibers.
 
@@ -455,7 +456,7 @@ def root_forest_report(poset):
     return _evaluate(poset, 'root-forest')
 
 
-@lru_cache
+@rows_cache(lambda: 128)
 def collapse_report(poset, direction):
     '''Degeneration to an antichain when the extremal layers touch.
 
@@ -559,6 +560,11 @@ def _survey(poset):
     return _shared(_ROWS, (profile, tuple(broken)))
 
 
+def _surveyed(poset):
+    'The poset with its _survey row; a worker sends the poset back as its rows.'
+    return poset, _survey(poset)
+
+
 SweepRow = namedtuple('SweepRow', 'n count disagreements class_counts')
 
 FirstFailure = namedtuple('FirstFailure', 'flag n index covers')
@@ -593,6 +599,12 @@ def sweep(max_points, mode='unlabeled', jobs=1):
     (all zero on a correct build) and, for each profile flag, the first
     poset in canonical order that falsifies it.  Output is deterministic
     and identical for any worker count, which is capped at MAX_JOBS.
+
+    Each level is streamed: a poset is surveyed as the enumeration
+    yields it, a first failure's covers are read from it then, and no
+    list of the level is kept, so each poset and the sets it cached go
+    once its row is counted.  Workers take the stream in order, in
+    chunks, through pool.imap.
     '''
     if not is_int(jobs) or jobs < 1:
         raise InputError('jobs must be a positive int')
@@ -608,24 +620,22 @@ def sweep(max_points, mode='unlabeled', jobs=1):
             import multiprocessing
             pool = multiprocessing.Pool(jobs)
         for n in range(max_points + 1):
-            posets = list(enumerate_posets(n, mode))
-            if pool is None:
-                results = [_survey(poset) for poset in posets]
-            else:
-                results = pool.map(_survey, posets)
+            posets = enumerate_posets(n, mode)
+            surveyed = (map(_surveyed, posets) if pool is None
+                        else pool.imap(_surveyed, posets, chunksize=64))
             class_counts = {flag: 0 for flag in PROFILE_FLAGS}
-            size_disagreements = 0
-            for index, (profile, broken) in enumerate(results):
+            count = size_disagreements = 0
+            for poset, (profile, broken) in surveyed:
                 for flag, holds in zip(PROFILE_FLAGS, profile):
                     if holds:
                         class_counts[flag] += 1
                     elif flag not in firsts:
-                        covers = posets[index].covers()
-                        firsts[flag] = FirstFailure(flag, n, index, tuple(covers))
+                        firsts[flag] = FirstFailure(flag, n, count, tuple(poset.covers()))
                 for theorem in broken:
                     theorem_counts[theorem] += 1
                     size_disagreements += 1
-            rows_out.append(SweepRow(n, len(posets), size_disagreements,
+                count += 1
+            rows_out.append(SweepRow(n, count, size_disagreements,
                                      tuple(sorted(class_counts.items()))))
     finally:
         if pool is not None:

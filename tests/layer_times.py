@@ -32,16 +32,21 @@ lru_cache carries over from one run to the next:
 - import: `import finspec.cli` in a bare interpreter, which has loaded
   nothing the import needs;
 - sweep (only with --sweep): cli.main(['sweep', --points, '--json']),
-  the end-to-end run, with the sha256 of what it prints.
+  the end-to-end run, with the sha256 of what it prints;
+- sweep-labeled (only with --sweep): the labeled sweep of up to
+  min(--points, 5) points, cli.main(['sweep', N, '--mode', 'labeled',
+  '--json']), with the sha256 of what it prints: thousands of small
+  posets that miss every report cache, where what each swept poset
+  keeps alive shows in the peak RSS.
 
 The last line of stdout is one JSON object, also written to --out
 (BENCH_layers.json at the root of the checkout by default): per layer,
 the CPU seconds of each run (time.process_time of the child) and the
 child's peak RSS in MB (resource.getrusage, inputs included), with the
-median of each, and for sweep the sha256 of its stdout, which every
-run must repeat; then the Python version, the machine, its CPU count,
-the commit (git describe, "-dirty" when the tree differs from it) and
-the input count.  Standard library only.
+median of each, and for the two sweeps the sha256 of their stdout,
+which every run must repeat; then the Python version, the machine, its
+CPU count, the commit (git describe, "-dirty" when the tree differs from
+it) and the input count.  Standard library only.
 
 --count adds one more fresh process per layer, with PYTHONHASHSEED=0,
 that runs the layer's timed work under sys.settrace with
@@ -146,13 +151,17 @@ def _work(layer, points):
             import finspec.cli
         return work, None
     from finspec import cli, duality, reports
-    if layer == 'sweep':
+    sweeps = {'sweep': [str(points)],
+              'sweep-labeled': [str(min(points, 5)), '--mode', 'labeled']}
+    if layer in sweeps:
+        argv = ['sweep'] + sweeps[layer] + ['--json']
+
         def work():
             printed = io.StringIO()
             with contextlib.redirect_stdout(printed):
-                code = cli.main(['sweep', str(points), '--json'])
+                code = cli.main(argv)
             if code != 0:
-                raise SystemExit('sweep %d exited %d' % (points, code))
+                raise SystemExit('%s exited %d' % (' '.join(argv), code))
             return hashlib.sha256(printed.getvalue().encode()).hexdigest()
         return work, None
     # what the layers that read lattices built before the clock do with each
@@ -222,7 +231,8 @@ def main(argv=None):
     parser.add_argument('--points', type=int, default=7)
     parser.add_argument('--repeat', type=int, default=3)
     parser.add_argument('--sweep', action='store_true',
-                        help="also time cli.main(['sweep', POINTS, '--json'])")
+                        help="also time cli.main(['sweep', POINTS, '--json']) and the "
+                             'labeled sweep of min(POINTS, 5) points')
     parser.add_argument('--count', action='store_true',
                         help='also count the opcodes and calls of one traced run per layer')
     parser.add_argument('--out', default=str(ROOT / 'BENCH_layers.json'),
@@ -233,7 +243,7 @@ def main(argv=None):
         run = _counted_child if args.count else _child
         print(json.dumps(run(args.child, args.points)))
         return 0
-    layers = LAYERS + ('sweep',) * args.sweep
+    layers = LAYERS + ('sweep', 'sweep-labeled') * args.sweep
     out = {'python': platform.python_version(), 'machine': platform.machine(),
            'cpus': os.cpu_count(), 'commit': _commit(), 'points': args.points,
            'layers': {}}

@@ -423,6 +423,8 @@ def test_resource_limits_exit_three(capsys, tmp_path):
                     encoding='utf-8')
     code, _, err = run(capsys, 'report', 'root-forest', str(long))
     assert code == 3 and 'resource limit' in err
+    assert ('boolean envelope capped at %d points (ENVELOPE_MAX_POINTS), got %d'
+            % (ENVELOPE_MAX_POINTS, ENVELOPE_MAX_POINTS + 1)) in err
     # 6,129,859 labeled orders on 7 points: refused before any work
     code, _, err = run(capsys, 'sweep', '7', '--mode', 'labeled')
     assert code == 3 and 'labeled enumeration capped at 6 points' in err

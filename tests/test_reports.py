@@ -1,11 +1,13 @@
 '''Report layer: frozen verdicts, hypothesis gating, sweeps.'''
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
 import bruteforce as bf
-from finspec import cli, kernels
+from finspec import cli, duality, kernels
 from finspec.enumeration import enumerate_posets
 from finspec.errors import InputError, PreconditionError, ResourceLimitError
 from finspec.fixtures import a2, antichain, c2, chain_poset, d4, l3, v3
@@ -418,9 +420,12 @@ def test_sweep_refuses_jobs_past_the_cap_before_any_pool(monkeypatch, capsys):
         sweep(0, jobs=MAX_JOBS)
 
 
+REPORT_CACHES = (pc_space_report, stone_report, qccl_stone_report, heyting_report,
+                 root_forest_report, collapse_report)
+
+
 def _clear_report_caches():
-    for fn in (pc_space_report, stone_report, qccl_stone_report, heyting_report,
-               root_forest_report, collapse_report):
+    for fn in REPORT_CACHES:
         fn.cache_clear()
 
 
@@ -439,6 +444,88 @@ def test_only_quoted_reports_keep_every_poset():
             fn(poset)
         assert fn.cache_info().misses == before.misses
         assert fn.cache_info().hits == before.hits + len(swept)
+
+
+def _cache_counts():
+    return [(info.hits, info.misses) for info in (
+        fn.cache_info() for fn in REPORT_CACHES + (duality._downset_lattice_cached,))]
+
+
+def test_no_swept_poset_outlives_its_sweep(monkeypatch):
+    # the sweep streams each level and the caches key by rows, so once
+    # the sweeps end nothing holds a swept poset or its dual; the two
+    # point at each other, so only the collector frees them
+    refs = []
+    stream = reports.enumerate_posets
+
+    def watched(n, mode='unlabeled'):
+        for poset in stream(n, mode):
+            refs.extend((weakref.ref(poset), weakref.ref(poset.dual())))
+            yield poset
+
+    monkeypatch.setattr(reports, 'enumerate_posets', watched)
+    sweep(4, 'labeled')
+    sweep(5)
+    sweep(3, 'labeled', jobs=2)
+    gc.collect()
+    assert len(refs) == 2 * (243 + 88 + 24)
+    assert [ref() for ref in refs if ref() is not None] == []
+
+
+def test_report_and_lattice_caches_are_keyed_by_rows():
+    p = Poset(4, [(0, 2), (1, 2), (1, 3)])
+    copy = Poset.from_up_rows(p.up)
+    _clear_report_caches()
+    duality._downset_lattice_cached.cache_clear()
+    assert _cache_counts() == [(0, 0)] * 7
+    lattice = duality.downset_lattice(p)
+    reports_of_p = [theorem_report(p, theorem) for theorem in THEOREMS]
+    before = _cache_counts()
+    assert duality.downset_lattice(copy) is lattice
+    assert [theorem_report(copy, theorem) for theorem in THEOREMS] == reports_of_p
+    # one more hit on each cache, collapse_report's once per side; no miss
+    after = _cache_counts()
+    assert [hits for hits, _ in after] == [
+        hits + gained for (hits, _), gained in zip(before, (1, 1, 1, 1, 1, 2, 1))]
+    assert [misses for _, misses in after] == [misses for _, misses in before]
+    # the two sides of collapse_report are cached apart
+    assert collapse_report(copy, 'min_side') is not collapse_report(copy, 'max_side')
+    for fn in REPORT_CACHES + (duality._downset_lattice_cached,):
+        fn.cache_clear()
+        info = fn.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.elements) == (0, 0, 0, 0)
+
+
+# (flag, n, index, covers) of each first failure and (hits, misses) of the
+# six report caches, then the lattice cache, after a sweep from cold caches
+FIRST_FAILURES_6 = (
+    ('boolean', 2, 1, ((1, 0),)), ('confluent', 3, 4, ((0, 2), (1, 2))),
+    ('forest', 3, 4, ((0, 2), (1, 2))), ('inv_normal', 3, 4, ((0, 2), (1, 2))),
+    ('normal', 3, 2, ((2, 0), (2, 1))), ('root_system', 3, 2, ((2, 0), (2, 1))),
+    ('stone', 3, 4, ((0, 2), (1, 2))), ('stranded', 3, 2, ((2, 0), (2, 1))))
+FIRST_FAILURES_LABELED_4 = (
+    ('boolean', 2, 1, ((1, 0),)), ('confluent', 3, 6, ((0, 2), (1, 2))),
+    ('forest', 3, 6, ((0, 2), (1, 2))), ('inv_normal', 3, 6, ((0, 2), (1, 2))),
+    ('normal', 3, 3, ((2, 0), (2, 1))), ('root_system', 3, 3, ((2, 0), (2, 1))),
+    ('stone', 3, 6, ((0, 2), (1, 2))), ('stranded', 3, 3, ((2, 0), (2, 1))))
+CACHE_COUNTS_6 = [(11811, 784), (0, 406), (0, 406), (1291, 739), (0, 406), (0, 812),
+                  (2769, 784)]
+CACHE_COUNTS_LABELED_4 = [(2275, 243), (0, 243), (0, 243), (972, 243), (0, 243),
+                          (0, 486), (1458, 243)]
+
+
+@pytest.mark.parametrize('args, firsts, counts', [
+    ((6,), FIRST_FAILURES_6, CACHE_COUNTS_6),
+    ((4, 'labeled'), FIRST_FAILURES_LABELED_4, CACHE_COUNTS_LABELED_4),
+])
+def test_streamed_sweep_names_the_same_first_failures(args, firsts, counts):
+    for jobs in (1, 2):
+        _clear_report_caches()
+        duality._downset_lattice_cached.cache_clear()
+        summary = sweep(*args, jobs=jobs)
+        assert [tuple(item) for item in summary.first_failures] == list(firsts)
+        if jobs == 1:
+            assert _cache_counts() == counts
 
 
 def test_flipped_reading_is_counted_as_a_disagreement(monkeypatch, capsys):
