@@ -16,15 +16,21 @@ off down rows as a flat n*n table, entry a*n + b for the pair (a, b),
 and names the first pair without a meet; a finite bounded poset in which
 every pair has a meet is a lattice, so that one table validates.  Given
 up rows it reads the join table instead, the dual's meet table, which a
-lattice builds only when something first reads a join.  The
-distributivity and Heyting checks take the tables as arguments.
-distributive_witness reads one-byte tables only (up to 256 elements),
-a row at a time inside bytes.translate, a few C-level calls per row;
-its witness is still the first failing (a, b, c >= b), since both sides
-of the law are symmetric in b and c.  It raises ResourceLimitError on a
-two-byte table.  The scan tests n**3 triples; Lattice checks them
-against DISTRIBUTIVE_WORK_BUDGET (256**3, the one-byte ceiling) once,
-before it builds the join table.
+lattice builds only when something first reads a join; no lattice
+verdict does.
+
+Distributivity has two readings.  join_prime_witness is Birkhoff's
+test on the order rows: a finite lattice is distributive exactly when
+every join-irreducible is join-prime, one set lookup per
+join-irreducible once lower_covers has found them.
+distributive_witness is the triple scan over the meet and join tables.
+It reads one-byte tables only (up to 256 elements), a row at a time
+inside bytes.translate, a few C-level calls per row; its witness is
+still the first failing (a, b, c >= b), since both sides of the law are
+symmetric in b and c.  It raises ResourceLimitError on a two-byte
+table.  The scan tests n**3 triples; Lattice checks them against
+DISTRIBUTIVE_WORK_BUDGET (256**3, the one-byte ceiling) once, before it
+builds the join table.
 
 One candidate-set pass, _candidate_tops, reads the meet table and the
 order, never the join table, for every a -> b (greatest x, a ^ x <= b).
@@ -471,11 +477,11 @@ def meet_table(down):
 
 
 # Most triples one distributivity scan may test: n**3 for n elements.
-# Lattice._distributive_witness checks it once, before it builds the join
-# table.  256**3 is the ceiling of the one-byte tables the scan reads, and
-# every down-set lattice of a sweep up to 8 points stays inside it.  The
-# budget may be lowered, but not raised: past 256 elements the scan itself
-# refuses the two-byte tables.
+# Lattice.distributivity_witness checks it once, before it builds the join
+# table.  256**3 is the ceiling of the one-byte tables the scan reads.
+# Only that scan reads it: is_distributive reads join_prime_witness, which
+# has no budget.  The budget may be lowered, but not raised: past 256
+# elements the scan itself refuses the two-byte tables.
 DISTRIBUTIVE_WORK_BUDGET = 256 ** 3
 
 
@@ -526,6 +532,23 @@ def lower_covers(down):
             rest ^= low
         out.append(bit_indices(covers))
     return out
+
+
+def join_prime_witness(irreducibles, down, up):
+    '''First of the join-irreducibles that is not join-prime, or None.
+
+    irreducibles lists the elements covering exactly one other, as
+    lower_covers finds them.  j is join-prime (j <= a v b forces j <= a
+    or j <= b) exactly when the elements not above it are closed under
+    joins, that is, form an ideal; they are down-closed and hold the
+    bottom, and an ideal of a finite lattice is some element's down row.
+    So each join-irreducible costs one set lookup.  A finite lattice is
+    distributive exactly when this returns None (Birkhoff; Davey &
+    Priestley, Introduction to Lattices and Order, 2002, ch. 5).
+    '''
+    full = (1 << len(down)) - 1
+    ideals = set(down)
+    return next((j for j in irreducibles if full & ~up[j] not in ideals), None)
 
 
 def subset_closures(rows):

@@ -6,16 +6,25 @@ finite bounded poset in which every pair has a meet is a lattice, so the
 join table is not needed for that.  It is built on first read, as the
 meet table of the dual order; only when validation fails is it built at
 once, to name the first pair that lacks either bound.  Those two tables
-are the single source of truth for meet and join: meet, join and the
-distributivity, Stone and Heyting checks read them.  The distributivity
-check weighs its n**3 triples against kernels.DISTRIBUTIVE_WORK_BUDGET
-once, before it builds the join table, so a lattice past 256 elements is
-refused before any scan.  The implications come from the candidate-set
-pass over the meet table that the Heyting check runs: the whole a -> b
-table is built in one pass the first time implication is asked for, and
-never on the verdict path.  The
-pseudocomplements and is_boolean read the order masks (down and up rows)
-instead, by their definitions in terms of the order.
+are the single source of truth for meet and join, and the Heyting check
+reads the meet table.  No flag reads the join table: only join(),
+non_coprime_witness and the triple scan build it.  is_distributive
+is Birkhoff's test on the order rows: every join-irreducible is
+join-prime, one set lookup each (kernels.join_prime_witness).  is_stone
+reads a* v a** = 1 off the up rows: a join is the top exactly when the
+top is the only common upper bound, one AND per element.  The
+pseudocomplements and is_boolean read the order masks too, by their
+definitions in terms of the order.  So every verdict runs at any size
+the cap admits.
+
+distributivity_witness is a reading of its own: the triple scan over
+both tables, which weighs its n**3 triples against
+kernels.DISTRIBUTIVE_WORK_BUDGET once, before it builds the join table,
+so past 256 elements it is refused before any scan.  Neither
+distributivity reading is derived from the other.  The implications
+come from the candidate-set pass over the meet table that the Heyting
+check runs: the whole a -> b table is built in one pass the first time
+implication is asked for, and never on the verdict path.
 
 The ideal layer reads the order rows too.  Every ideal and every filter
 of a finite lattice is principal, so a set of elements is an ideal
@@ -28,7 +37,8 @@ coprimality check reads one join per pair of minimal primes and nothing
 else in the ideal layer builds the join table.  The second prime route
 takes the elements not above each join-irreducible j; they form an ideal
 exactly when j is join-prime, and PreconditionError names the first j
-that is not.
+that is not, through the same kernels.join_prime_witness as
+is_distributive.
 A lattice has at most DOWNSET_CAP elements, checked once on each way in
 before any super-linear step.  Absent values (a pseudocomplement or
 implication that does not exist) come back as None, never as an error.
@@ -186,6 +196,14 @@ class Lattice:
     # derived algebraic structure
 
     @cached_property
+    def _join_prime_witness(self):
+        return kernels.join_prime_witness(self.join_irreducibles(), self.down, self.up)
+
+    def is_distributive(self):
+        'Every join-irreducible is join-prime (Birkhoff), read off the order rows.'
+        return self._join_prime_witness is None
+
+    @cached_property
     def _distributive_witness(self):
         # the scan tests n**3 triples; past the budget, refuse before the
         # join table is built
@@ -196,11 +214,13 @@ class Lattice:
                 'DISTRIBUTIVE_WORK_BUDGET (%d)' % (n, n ** 3, budget))
         return kernels.distributive_witness(self._meet, self._join, n)
 
-    def is_distributive(self):
-        return self._distributive_witness is None
-
     def distributivity_witness(self):
-        'Triple (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c), or None.'
+        '''Triple (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c), or None.
+
+        The triple scan, a reading apart from is_distributive; past
+        kernels.DISTRIBUTIVE_WORK_BUDGET it raises ResourceLimitError
+        before the join table is built.
+        '''
         return self._distributive_witness
 
     @cached_property
@@ -220,8 +240,9 @@ class Lattice:
         'Pseudocomplemented and every a* v a** reaches the top.'
         if not self.is_pseudocomplemented():
             return False
-        pc, join, n = self._pseudocomplements, self._join, self.n
-        return all(join[pc[a] * n + pc[pc[a]]] == self.top for a in range(n))
+        # a join is the top exactly when the top is the only common upper bound
+        pc, up, top = self._pseudocomplements, self.up, 1 << self.top
+        return all(up[p] & up[pc[p]] == top for p in pc)
 
     @cached_property
     def _implications(self):
@@ -297,15 +318,15 @@ class Lattice:
         join-prime, as every join-irreducible of a distributive lattice
         is; PreconditionError names the first join-irreducible that is not.
         '''
-        ideals = []
-        for j in self.join_irreducibles():
-            avoided = self.full & ~self.up[j]
-            if avoided not in self.down:
-                raise PreconditionError(
-                    'join-irreducible %d is not join-prime; the prime ideals via '
-                    'join-irreducibles need every join-irreducible join-prime, '
-                    'as in a distributive lattice' % j)
-            ideals.append(LatticeIdeal(self, self.order_poset().set_of(avoided)))
+        irreducibles = self.join_irreducibles()
+        failing = kernels.join_prime_witness(irreducibles, self.down, self.up)
+        if failing is not None:
+            raise PreconditionError(
+                'join-irreducible %d is not join-prime; the prime ideals via '
+                'join-irreducibles need every join-irreducible join-prime, '
+                'as in a distributive lattice' % failing)
+        ideals = [LatticeIdeal(self, self.order_poset().set_of(self.full & ~self.up[j]))
+                  for j in irreducibles]
         ideals.sort(key=lambda ideal: ideal.mask)
         return ideals
 

@@ -525,7 +525,8 @@ def lattice_flags(lattice, subject):
     '''The boolean, heyting, stone and pseudocomplemented flags of lattice,
     implications enforced; an AgreementError names subject.
 
-    is_boolean runs first: it alone can refuse, through is_distributive.'''
+    Every flag reads the order rows or the meet table, and none builds
+    the join table or refuses past a work budget.'''
     flags = dict(boolean=lattice.is_boolean(), heyting=lattice.is_heyting(),
                  stone=lattice.is_stone(), pseudocomplemented=lattice.is_pseudocomplemented())
     if flags['boolean'] and not (flags['heyting'] and flags['stone']):

@@ -11,12 +11,14 @@ lru_cache carries over from one run to the next:
 
 - downset_lattice: build the down-set lattice of every input from its
   down-set masks (duality.inclusion_lattice, no cache in between);
-- downset_lattice+join: the same builds, then one join read on each
-  lattice, which is what classify costs on top of a build;
+- downset_lattice+flags: the same builds, then reports.lattice_flags
+  on each lattice, the lattice side of classify;
 - pseudocomplement_vector: is_pseudocomplemented on every lattice
   built before the clock starts, one kernel call each;
-- distributive_witness: is_distributive on every lattice built before
-  the clock starts, which builds each join table and runs the byte scan;
+- is_distributive: Birkhoff's test on every lattice built before the
+  clock starts, one set lookup per join-irreducible after lower_covers;
+- distributive_witness: distributivity_witness() on the same lattices,
+  which builds each join table and runs the byte scan;
 - closed_subspaces_pc: the heyting reading on every input, with cold
   report caches;
 - heyting_report: the whole heyting report on every input, with cold
@@ -42,7 +44,7 @@ lru_cache carries over from one run to the next:
 The last line of stdout is one JSON object, also written to --out
 (BENCH_layers.json at the root of the checkout by default): per layer,
 the CPU seconds of each run (time.process_time of the child) and the
-child's peak RSS in MB (resource.getrusage, inputs included), with the
+child's own peak RSS in MB (VmHWM, inputs included), with the
 median of each, and for the two sweeps the sha256 of their stdout,
 which every run must repeat; then the Python version, the machine, its
 CPU count, the commit (git describe, "-dirty" when the tree differs from
@@ -57,16 +59,22 @@ commits where CPU time cannot; but work done in C, such as
 bytes.translate, big-int arithmetic or sorted, is invisible to them.
 The import layer's count covers what `import finspec.cli` loads beyond
 the modules this script has loaded already.
+
+Each child reads its peak RSS as VmHWM from /proc/self/status, and
+falls back to resource.getrusage's ru_maxrss only where that file is
+absent.  ru_maxrss alone would not do: the kernel keeps it across
+execve, so a child reads the high-water mark of the process that
+spawned it whenever that one is higher.
 '''
 
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -75,21 +83,34 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / 'src'
-LAYERS = ('downset_lattice', 'downset_lattice+join', 'pseudocomplement_vector',
-          'distributive_witness', 'closed_subspaces_pc', 'heyting_report',
-          'prime_ideals+via_irreducibles', 'minimal_primes_coprime', 'stone_roundtrip',
-          'poset_roundtrip', 'import')
+LAYERS = ('downset_lattice', 'downset_lattice+flags', 'pseudocomplement_vector',
+          'is_distributive', 'distributive_witness', 'closed_subspaces_pc',
+          'heyting_report', 'prime_ideals+via_irreducibles', 'minimal_primes_coprime',
+          'stone_roundtrip', 'poset_roundtrip', 'import')
+
+
+def peak_rss_mb():
+    'Peak RSS of this process in MB: VmHWM, or ru_maxrss without /proc.'
+    try:
+        with open('/proc/self/status') as status:
+            for line in status:
+                if line.startswith('VmHWM:'):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
 
 # the import layer's child: only built-in modules load before the clock,
 # so nothing finspec.cli imports is already there
-IMPORT_CHILD = '''
+IMPORT_CHILD = inspect.getsource(peak_rss_mb) + '''
 import sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.process_time()
 import finspec.cli
 seconds = time.process_time() - start
-import resource
-print('[%r, null, %r, null]' % (seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+print('[%r, null, %r, null]' % (seconds, peak_rss_mb()))
 '''
 
 
@@ -111,7 +132,7 @@ def _child(layer, points):
     start = time.process_time()
     digest = work()
     seconds = time.process_time() - start
-    return seconds, count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, digest
+    return seconds, count, peak_rss_mb(), digest
 
 
 def _counted_child(layer, points):
@@ -167,7 +188,8 @@ def _work(layer, points):
     # what the layers that read lattices built before the clock do with each
     on_lattices = {
         'pseudocomplement_vector': lambda lat: lat.is_pseudocomplemented(),
-        'distributive_witness': lambda lat: lat.is_distributive(),
+        'is_distributive': lambda lat: lat.is_distributive(),
+        'distributive_witness': lambda lat: lat.distributivity_witness(),
         'prime_ideals+via_irreducibles':
             lambda lat: (lat.prime_ideals(), lat.prime_ideals_via_irreducibles()),
         'minimal_primes_coprime': lambda lat: lat.minimal_primes_coprime(),
@@ -197,9 +219,9 @@ def _work(layer, points):
     else:
         def work():
             lattices = [duality.inclusion_lattice(m) for m in masks]
-            if layer == 'downset_lattice+join':
+            if layer == 'downset_lattice+flags':
                 for lat in lattices:
-                    lat.join(0, 0)
+                    reports.lattice_flags(lat, None)
     return work, len(posets)
 
 

@@ -7,7 +7,9 @@ process and checks both.  Every report must be reached through the
 attribute the tracer wraps, and the caches install() hands back must
 still report their counters.  The subcommands that build down-set
 lattices and spectra must call them by the names the tracer wraps in
-the cli module too.
+the cli module too.  No sweep runs the distributivity triple scan, so
+the script reaches kernels.distributive_witness through
+Lattice.distributivity_witness.
 '''
 
 import json
@@ -23,15 +25,16 @@ sys.path[:0] = [%r, %r]
 import tracing
 tracer = tracing.Tracer()
 caches = tracing.install(tracer)
-from finspec import cli
+from finspec import cli, fixtures
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (['pc-table', 'v3', '--json'],
                                          ['spec', 'm3', '--json'],
                                          ['downsets', 'v3', '--json'])]
     by_cli = {name: row[0] for name, row in tracer.totals().items()}
     code = cli.main(['sweep', '3', '--json'])
+scan = fixtures.n5().distributivity_witness()
 totals = tracer.totals()
-print(json.dumps({'code': code, 'cli_codes': codes, 'by_cli': by_cli,
+print(json.dumps({'code': code, 'cli_codes': codes, 'by_cli': by_cli, 'scan': scan,
                   'calls': {name: row[0] for name, row in totals.items()},
                   'caches': tracing.cache_counts(caches)}))
 ''' % (str(ROOT / 'finbench'), str(ROOT / 'src'))
@@ -48,6 +51,7 @@ def test_traced_sweep_counts_every_layer():
     assert got['by_cli'].get('duality.downset_lattice') == 2
     assert got['by_cli'].get('duality.spec_poset') == 1
     assert got['code'] == 0
+    assert got['scan'] is not None
     for name in ('duality.qccl_lattice', 'duality.downset_lattice',
                  'lattice.construct', 'poset.induced',
                  'kernels.distributive_witness', 'lattice.is_distributive'):

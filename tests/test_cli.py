@@ -18,8 +18,8 @@ from finspec.cli import main, parse_args
 from finspec.fileio import lattice_to_text, poset_to_text
 from finspec.duality import ENVELOPE_MAX_POINTS, downset_lattice
 from finspec.enumeration import STREAMS
-from finspec.errors import AgreementError
-from finspec.fixtures import antichain, chain_poset, v3
+from finspec.errors import AgreementError, ResourceLimitError
+from finspec.fixtures import antichain, bool_lattice, chain_poset, v3
 from finspec.lattice import Lattice
 from finspec.poset import DOWNSET_CAP
 from finspec.reports import PROFILE_FLAGS, classify
@@ -385,29 +385,44 @@ def test_builtin_sizes_past_the_caps_exit_three_at_once(capsys, name, cap):
     assert err == 'finspec: resource limit: %s\n' % cap
 
 
-def test_distributivity_scan_past_the_work_budget_exits_three(capsys, monkeypatch):
-    # bool8 has 256 elements, 256**3 triples: at that budget it runs, one
-    # below it is refused before the scan starts, naming the budget
-    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3)
+def test_distributivity_scan_past_the_work_budget_is_refused(capsys, monkeypatch):
+    # bool8 has 256 elements, 256**3 triples: one below that budget the
+    # triple scan is refused before the join table is built, naming the
+    # budget, and at it the scan runs.  check reads Birkhoff's test, not
+    # the scan, so it prints the profile under either budget
+    lat = bool_lattice(8)
+    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3 - 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        lat.distributivity_witness()
+    assert str(exc.value) == ('distributivity scan of 256 elements tests 16777216 '
+                              'triples, past DISTRIBUTIVE_WORK_BUDGET (16777215)')
+    assert '_join' not in vars(lat)
     code, out, err = run(capsys, 'check', 'bool8')
     assert code == 0 and '  distributive         true' in out and err == ''
-    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3 - 1)
-    code, out, err = run(capsys, 'check', 'bool8')
-    assert code == 3 and out == ''
-    assert err == ('finspec: resource limit: distributivity scan of 256 elements tests '
-                   '16777216 triples, past DISTRIBUTIVE_WORK_BUDGET (16777215)\n')
+    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3)
+    assert lat.distributivity_witness() is None
 
 
 def test_default_work_budget_refuses_bool9_without_a_scan(capsys, monkeypatch):
+    # check bool9 reads every verdict off the order rows and the meet
+    # table: it prints the Boolean profile within 5 s of CPU (about 0.2 s
+    # on a 2-core x86_64 host) and never runs the triple scan, which the
+    # default budget refuses on 512 elements before the join table is built
     assert kernels.DISTRIBUTIVE_WORK_BUDGET == 256 ** 3
     scans = []
-    # nor does check compute any other flag before the refusal
-    for name in ('distributive_witness', 'pseudocomplement_vector', 'heyting_witness'):
-        monkeypatch.setattr(kernels, name, lambda *args: scans.append(args))
+    monkeypatch.setattr(kernels, 'distributive_witness', lambda *args: scans.append(args))
+    start = time.process_time()
     code, out, err = run(capsys, 'check', 'bool9')
-    assert code == 3 and out == '' and scans == []
-    assert 'distributivity scan of 512 elements' in err
-    assert 'DISTRIBUTIVE_WORK_BUDGET' in err
+    assert time.process_time() - start < 5.0
+    assert code == 0 and err == '' and scans == []
+    assert out.splitlines() == ['lattice with 512 elements'] + [
+        '  %-20s true' % flag
+        for flag in ('distributive', 'pseudocomplemented', 'stone', 'heyting', 'boolean')]
+    lat = bool_lattice(9)
+    with pytest.raises(ResourceLimitError, match='^distributivity scan of 512 elements '
+                       'tests 134217728 triples, past DISTRIBUTIVE_WORK_BUDGET '):
+        lat.distributivity_witness()
+    assert scans == [] and '_join' not in vars(lat)
 
 
 def test_resource_limits_exit_three(capsys, tmp_path):

@@ -14,7 +14,9 @@ from finspec.fixtures import (antichain, bool_lattice, chain_lattice, chain_pose
                                l3, m3, n5, v3)
 from finspec.lattice import Lattice, LatticeIdeal
 from finspec.poset import DOWNSET_CAP, Poset, check_size
-from finspec.reports import classify, heyting_report, pc_space_report, stone_report
+from finspec.reports import (THEOREMS, classify, collapse_report, heyting_report,
+                             pc_space_report, qccl_stone_report, root_forest_report,
+                             stone_report, sweep, theorem_report)
 
 
 def test_constructor_rejects_non_lattices():
@@ -398,6 +400,16 @@ def _bounded_lattices():
             yield Lattice(n, sorted(order))
 
 
+def _class_lattices(points):
+    '''Fresh down-set and up-set lattices of every class up to points
+    points: distributive, and Stone on some classes only.'''
+    for n in range(points + 1):
+        for rows in kernels.unlabeled_reps(n):
+            poset = Poset.from_up_rows(rows)
+            yield inclusion_lattice(poset.downset_masks_all)
+            yield inclusion_lattice(poset.upset_masks_all)
+
+
 def test_constructor_names_first_missing_bound():
     rejected = 0
     for n, order in _bounded_orders():
@@ -418,23 +430,40 @@ def test_constructor_names_first_missing_bound():
         Lattice(8, crown)
 
 
+def _stone_by_join_table(lat, pseudocomplements):
+    'Every a* v a** is the top, read through Lattice.join.'
+    return None not in pseudocomplements and all(
+        lat.join(p, pseudocomplements[p]) == lat.top for p in pseudocomplements)
+
+
 def test_pseudocomplements_of_bounded_orders_match_scan():
     # the same bounded orders: the atom route of pseudocomplement_vector
     # against a scan, on lattices that are neither distributive nor
-    # pseudocomplemented as well as on those that are
+    # pseudocomplemented as well as on those that are; and Stone's law on
+    # the up rows against the join table, there and on the down-set and
+    # up-set lattices of the classes
     kinds = set()
     for lat in _bounded_lattices():
         want = [bf.pseudocomplement_by_scan(lat, a) for a in range(lat.n)]
         got = kernels.pseudocomplement_vector(lat.down, lat.up, lat.bottom)
         assert got == [-1 if x is None else x for x in want]
-        kinds.add((lat.is_distributive(), None not in want))
-    assert kinds == {(True, True), (False, True), (False, False)}
+        stone = _stone_by_join_table(lat, want)
+        assert lat.is_stone() == stone
+        kinds.add((lat.is_distributive(), None not in want, stone))
+    assert kinds == {(True, True, True), (True, True, False), (False, True, True),
+                     (False, True, False), (False, False, False)}
+    stones = set()
+    for lat in _class_lattices(6):
+        stone = _stone_by_join_table(lat, [lat.pseudocomplement(a) for a in range(lat.n)])
+        assert lat.is_stone() == stone
+        stones.add(stone)
+    assert stones == {True, False}
 
 
 def test_ideal_layer_of_bounded_orders_matches_scans():
-    # the ideal layer reads the order rows; the oracles scan every subset and
-    # the join table, on lattices that are not distributive as well as on
-    # those that are
+    # the ideal layer and Birkhoff's test read the order rows; the oracles
+    # scan every subset, the join table and every triple, on lattices that
+    # are not distributive as well as on those that are
     distributive = no_primes = not_join_prime = 0
     for lat in _bounded_lattices():
         primes = bf.prime_ideals_by_filter(lat)
@@ -448,9 +477,13 @@ def test_ideal_layer_of_bounded_orders_matches_scans():
         assert (None if got is None else (got[0].mask, got[1].mask)) == want
         assert lat.minimal_primes_coprime() == (want is None)
         meet, join = bf.bound_tables(lat.n, bf.rel_of_rows(lat.up))
-        distributive += bf.first_distributivity_failure(meet, join) is None
+        scan = bf.first_distributivity_failure(meet, join)
+        assert lat.is_distributive() == (scan is None)
+        distributive += scan is None
         no_primes += not primes
         failing = [j for j in irreducibles if not bf.is_join_prime_by_scan(lat, j)]
+        assert (kernels.join_prime_witness(irreducibles, lat.down, lat.up)
+                == (failing or [None])[0])
         if failing:
             not_join_prime += 1
             with pytest.raises(PreconditionError,
@@ -459,6 +492,9 @@ def test_ideal_layer_of_bounded_orders_matches_scans():
         else:
             assert [ideal.mask for ideal in lat.prime_ideals_via_irreducibles()] == primes
     assert distributive and no_primes and not_join_prime
+    for lat in _class_lattices(6):
+        scan = bf.first_distributivity_failure(bf.meet_table(lat), bf.join_table(lat))
+        assert lat.is_distributive() == (scan is None)
 
 
 def test_prime_ideals_via_irreducibles_needs_join_prime_irreducibles():
@@ -538,18 +574,27 @@ def test_subspace_lattices_never_build_a_join_table(monkeypatch):
 
 
 def test_lattice_keeps_its_operation_tables():
-    # a fresh down-set lattice, so no other test has filled its caches: it
-    # keeps its order, the two flat n*n tables its validation built, and
-    # the verdicts; the order poset is built only when asked for
+    # a fresh down-set lattice, so no other test has filled its caches:
+    # after every verdict it keeps its order, the flat n*n meet table its
+    # validation built and the verdicts, and no join table.  The join table
+    # comes with the first join read, the triple scan's witness with
+    # distributivity_witness, and the order poset only when asked for
     lat = inclusion_lattice(Poset(4).downset_masks_all)
     assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
     assert lat.is_pseudocomplemented() and lat.is_boolean()
     verdicts = [
-        '_distributive_witness', '_heyting_witness', '_join', '_meet',
-        '_pseudocomplements', 'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
+        '_heyting_witness', '_join_prime_witness', '_meet', '_pseudocomplements',
+        'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
     assert sorted(vars(lat)) == verdicts
-    assert len(lat._meet) == len(lat._join) == lat.n * lat.n == 256
-    assert lat._meet.typecode == lat._join.typecode == 'B'
+    assert len(lat._meet) == lat.n * lat.n == 256
+    assert lat._meet.typecode == 'B'
+    # element i is the set with mask i
+    assert lat.join(1, 2) == 3
+    assert sorted(vars(lat)) == sorted(verdicts + ['_join'])
+    assert len(lat._join) == 256 and lat._join.typecode == 'B'
+    assert lat.distributivity_witness() is None
+    verdicts += ['_distributive_witness', '_join']
+    assert sorted(vars(lat)) == sorted(verdicts)
     # the implication table is built by the first implication call only
     assert lat.implication(1, 2) == 2 + 4 + 8
     assert sorted(vars(lat)) == sorted(verdicts + ['_implications'])
@@ -560,8 +605,9 @@ def test_lattice_keeps_its_operation_tables():
 
 
 def test_one_table_build_per_lattice(monkeypatch):
-    # validation builds the meet table and the first join read the join
-    # table; classify, is_stone, meet and join only read them after that
+    # validation builds the meet table; classify and every verdict read no
+    # join table, the first join read builds it, and meet and join only
+    # read the two tables after that
     built = []
     build = kernels.meet_table
     monkeypatch.setattr(kernels, 'meet_table',
@@ -571,6 +617,9 @@ def test_one_table_build_per_lattice(monkeypatch):
     lat = downset_lattice(poset)
     assert built == [(lat.down,)]
     assert classify(poset).stone == lat.is_stone()
+    assert lat.is_distributive() and not lat.is_boolean()
+    assert built == [(lat.down,)]
+    assert lat.join(0, 0) == 0
     assert built == [(lat.down,), (lat.up,)]
     for a in range(lat.n):
         for b in range(lat.n):
@@ -625,3 +674,39 @@ def test_verdicts_never_build_the_implication_table(monkeypatch):
         duality._downset_lattice_cached.cache_clear()
         for report in reports:
             report.cache_clear()
+
+
+def test_verdicts_never_build_a_join_table(monkeypatch, capsys):
+    # every lattice verdict reads the order rows or the meet table; only
+    # join(), non_coprime_witness and the triple scan build the join table.
+    # Every lattice is recorded as it is built, so this covers those the
+    # down-set lattice cache holds and those check builds
+    built = []
+    adopt = Lattice._adopt
+
+    def recording(self, *args):
+        adopt(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Lattice, '_adopt', recording)
+    caches = (pc_space_report, stone_report, qccl_stone_report, heyting_report,
+              root_forest_report, collapse_report, duality._downset_lattice_cached)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        sweep(4)
+        for poset in (v3(), l3(), d4()):
+            for theorem in THEOREMS:
+                theorem_report(poset, theorem)
+        held = [downset_lattice(Poset.from_up_rows(rows))
+                for n in range(5) for rows in kernels.unlabeled_reps(n)]
+        assert all(any(lat is other for other in built) for lat in held)
+        assert [lat for lat in built if '_join' in vars(lat)] == []
+        for name in ('m3', 'n5', 'bool3', 'bool9'):
+            assert cli.main(['check', name]) == 0
+        capsys.readouterr()
+        assert {lat.n for lat in built} >= {5, 8, 512}
+        assert [lat for lat in built if '_join' in vars(lat)] == []
+    finally:
+        for fn in caches:
+            fn.cache_clear()
