@@ -2,9 +2,10 @@
 
 A poset yields its lattice of down-sets; a lattice yields its poset of
 proper prime ideals ordered by inclusion.  On the distributive side the
-two trips compose to isomorphisms, and the round-trip operations verify
-that instead of assuming it: stone_roundtrip hands back None whenever
-the canonical comparison map fails to be an isomorphism.
+two trips compose to isomorphisms, and both round trips verify that
+instead of assuming it: each builds the canonical comparison map and
+checks it with Isomorphism.  stone_roundtrip hands back None, and
+poset_roundtrip False, whenever that map fails to be an isomorphism.
 
 The up-set lattice (the closed constructible sets) is the down-set
 lattice of the order dual, so both come from the one cached builder and
@@ -14,11 +15,24 @@ the poset, and drops its least recently used lattices once the lattices
 it holds pass LATTICE_CACHE_ELEMENTS elements in all.  The report caches
 of finspec.reports come from rows_cache too.
 
+Beside that cache, inclusion_lattice pools the order data of every
+lattice of sets by its up rows, which fix every table and verdict of a
+Lattice but not its labels.  While the lattice last returned with some
+rows is alive, the next one with those rows takes its rows, meet table
+and verdicts so far and keeps its own labels; otherwise it is built and
+validated in full.  The pool holds one weak reference per row tuple, so
+an entry lasts as long as that lattice and the pool needs no bound of
+its own.  The keys are exact rows, not canonical forms: a relabeled
+order is another key, and no reading moves to an isomorphic copy.  The
+cache still weighs each lattice by its elements, shared tables or not,
+so LATTICE_CACHE_ELEMENTS now over-counts the memory it holds.
+
 Numbering is deterministic everywhere: down-sets, up-sets and prime
 ideals are sorted ascending by member mask, which is also a linear
 extension of inclusion.
 '''
 
+import _weakref
 import functools
 from collections import namedtuple
 from types import SimpleNamespace
@@ -38,9 +52,13 @@ LATTICE_CACHE_ELEMENTS = 16 * DOWNSET_CAP
 def inclusion_lattice(masks):
     '''Sets under inclusion, element i being masks[i]; builds every lattice of sets.
 
-    The masks must be strictly ascending, as kernels.inclusion_rows needs;
-    any other order raises InputError.  More than DOWNSET_CAP masks raise
-    ResourceLimitError before the pair loop of inclusion_rows runs.
+    The masks must be strictly ascending, so that the sets are distinct
+    and the numbering is a linear extension of inclusion; any other
+    order raises InputError.  More than DOWNSET_CAP masks raise
+    ResourceLimitError before inclusion_rows runs.  Validation runs only
+    when the lattice last returned with the same up rows is no longer
+    alive (the pool of the module docstring); the lattice returned
+    always carries these masks as its labels.
     '''
     check_size('lattice', len(masks))
     last = -1
@@ -50,7 +68,37 @@ def inclusion_lattice(masks):
                              'and ascending: %d follows %d' % (s, last))
         last = s
     up, down = kernels.inclusion_rows(masks)
-    return Lattice._from_rows(up, down, SetLabels(masks))
+    rows = tuple(up)
+    entry = _orders.get(rows)
+    live = None if entry is None else entry()
+    if live is None:
+        lattice = Lattice._from_rows(rows, down, SetLabels(masks))
+    else:
+        # the live lattice's rows, tables and verdicts so far, in a dict of
+        # this lattice's own, so what either computes later stays its own
+        lattice = object.__new__(Lattice)
+        lattice.__dict__.update(vars(live))
+        lattice.labels = SetLabels(masks)
+    entry = _orders[lattice.up] = _Entry(lattice, _forget)
+    entry.rows = lattice.up
+    return lattice
+
+
+class _Entry(_weakref.ref):
+    '''A weak reference to the lattice of sets last returned with the rows
+    it is filed under in _orders.  _weakref is loaded at interpreter
+    start; importing weakref would add about 1 ms to the CLI's cold start.'''
+    __slots__ = ('rows',)
+
+
+# up rows -> the _Entry of the lattice of sets last returned with them
+_orders = {}
+
+
+def _forget(entry):
+    'Drop a freed lattice from the pool, unless a newer one holds its rows.'
+    if _orders.get(entry.rows) is entry:
+        del _orders[entry.rows]
 
 
 def rows_cache(bound, weight=lambda value: 1):
@@ -158,6 +206,19 @@ class Isomorphism(namedtuple('Isomorphism', 'source target forward backward')):
         return super().__new__(cls, source, target, forward, backward)
 
 
+def _isomorphism(source, target, forward):
+    'Isomorphism of source onto target sending a to forward[a], or None.'
+    if len(set(forward)) != source.n or target.n != source.n:
+        return None
+    backward = [0] * target.n
+    for a, b in enumerate(forward):
+        backward[b] = a
+    try:
+        return Isomorphism(source, target, tuple(forward), tuple(backward))
+    except InputError:
+        return None
+
+
 def stone_roundtrip(lattice):
     '''Isomorphism of L onto the down-set lattice of its prime spectrum, or None.
 
@@ -176,20 +237,29 @@ def stone_roundtrip(lattice):
             if not ideal.mask >> a & 1:
                 image |= 1 << i
         forward.append(index[image])
-    if len(set(forward)) != lattice.n or target.n != lattice.n:
-        return None
-    backward = [0] * target.n
-    for a, b in enumerate(forward):
-        backward[b] = a
-    try:
-        return Isomorphism(lattice, target, tuple(forward), tuple(backward))
-    except InputError:
-        return None
+    return _isomorphism(lattice, target, forward)
 
 
 def poset_roundtrip(poset):
-    'Does P come back from the prime spectrum of its down-set lattice?'
-    return poset.isomorphic_to(spec_poset(downset_lattice(poset)))
+    '''Does P come back from the prime spectrum of its down-set lattice?
+
+    The comparison map sends a point x to the prime ideal of the
+    down-sets that miss it.  True exactly when every such ideal is among
+    the lattice's prime ideals and the map is an isomorphism of P onto
+    their spectrum; no canonical form is searched for.
+    '''
+    primes = downset_lattice(poset).prime_ideals()
+    index = {ideal.mask: i for i, ideal in enumerate(primes)}
+    forward = []
+    for x in range(poset.n):
+        missing = 0
+        for a, members in enumerate(poset.downset_masks_all):
+            if not members >> x & 1:
+                missing |= 1 << a
+        if missing not in index:
+            return False
+        forward.append(index[missing])
+    return _isomorphism(poset, _spectrum(primes), forward) is not None
 
 
 def check_envelope(n):

@@ -40,8 +40,8 @@ bool10 (Python 3.11, one 2-core x86 host).
 
 relabel renumbers a relation by a list of its points, for induced
 subposets, canonical forms and isomorphism checks; inclusion_rows gives
-the order of strictly ascending sets, for every lattice of sets and the
-prime spectrum.
+the inclusion order of distinct sets from their membership columns, for
+every lattice of sets and the prime spectrum.
 
 subset_closures tabulates the up- or down-closure of all 2**n subsets,
 one OR per entry, for the readings that scan the powerset.
@@ -131,23 +131,37 @@ def relabel(rows, order):
 def inclusion_rows(masks):
     '''Up and down rows of the sets masks[i] under inclusion.
 
-    The masks must be strictly ascending.  Then a set can lie inside
-    another only if it comes first, so one pass over the pairs i <= j
-    fills both row lists.
+    One pass lists, for each point, the sets that hold it: its column.
+    The sets above masks[i] are those holding each of its points, the
+    AND of their columns; the sets below it are those missing every
+    point it misses, the AND of the other columns' complements.  Points
+    with equal columns count once.  That is O(sets x distinct columns)
+    big-int ANDs, where comparing every pair of sets would be
+    O(sets**2).
     '''
-    n = len(masks)
-    up = [0] * n
-    down = [0] * n
-    bits = [1 << j for j in range(n)]
-    for i, s in enumerate(masks):
-        bit = bits[i]
-        row = 0
-        for j in range(i, n):
-            t = masks[j]
-            if s | t == t:
-                row |= bits[j]
-                down[j] |= bit
-        up[i] = row
+    full = (1 << len(masks)) - 1
+    columns = {}
+    bit = 1
+    for s in masks:
+        while s:
+            low = s & -s
+            columns[low] = columns.get(low, 0) | bit
+            s ^= low
+        bit <<= 1
+    table = [(column, full ^ column) for column in set(columns.values())]
+    up = []
+    down = []
+    bit = 1
+    for _ in masks:
+        above = below = full
+        for column, rest in table:
+            if column & bit:
+                above &= column
+            else:
+                below &= rest
+        up.append(above)
+        down.append(below)
+        bit <<= 1
     return up, down
 
 

@@ -17,6 +17,12 @@ pseudocomplements and is_boolean read the order masks too, by their
 definitions in terms of the order.  So every verdict runs at any size
 the cap admits.
 
+Every table and verdict is a function of the up rows alone; __eq__
+compares nothing else.  So among the lattices of sets that
+duality.inclusion_lattice builds, validation runs only for an order
+whose last such lattice is no longer alive; otherwise the new lattice
+takes that one's tables and verdicts so far, and keeps its own labels.
+
 distributivity_witness is a reading of its own: the triple scan over
 both tables, which weighs its n**3 triples against
 kernels.DISTRIBUTIVE_WORK_BUDGET once, before it builds the join table,

@@ -10,7 +10,9 @@ layer runs --repeat times, every time in a new interpreter, so no
 lru_cache carries over from one run to the next:
 
 - downset_lattice: build the down-set lattice of every input from its
-  down-set masks (duality.inclusion_lattice, no cache in between);
+  down-set masks (duality.inclusion_lattice, no cache in between; but
+  inputs whose lattices have equal up rows share one validated copy
+  through the pool of inclusion_lattice);
 - downset_lattice+flags: the same builds, then reports.lattice_flags
   on each lattice, the lattice side of classify;
 - pseudocomplement_vector: is_pseudocomplemented on every lattice

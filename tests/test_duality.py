@@ -11,9 +11,10 @@ from finspec.duality import (ENVELOPE_MAX_POINTS, Isomorphism,
                              stone_roundtrip)
 from finspec.errors import InputError, ResourceLimitError
 from finspec.fixtures import a2, antichain, bool_lattice, c2, chain_lattice, \
-    l3, m3, n5, v3
+    chain_poset, l3, m3, n5, v3
 from finspec.lattice import Lattice, SetLabels
 from finspec.poset import DOWNSET_CAP, Poset, are_isomorphic
+from test_lattice import _empty_pool
 
 
 def test_downset_lattice_of_v3():
@@ -75,22 +76,90 @@ def test_qccl_lattice_is_the_dual_downset_lattice():
 
 
 def test_labeled_sweep_builds_each_lattice_once(monkeypatch):
-    for fn in (reports.pc_space_report, reports.stone_report,
-               reports.qccl_stone_report, reports.heyting_report,
-               reports.root_forest_report, reports.collapse_report,
-               duality._downset_lattice_cached):
-        fn.cache_clear()
-    built = []
-    adopt = Lattice._adopt
+    # from an empty pool, the labeled sweep validates each order of sets
+    # once, however many labelings carry it, and returns each lattice (its
+    # order and its labels) once, since the down-set lattice cache keeps
+    # them all
+    _empty_pool()
+    validated, returned = [], []
+    adopt, of_sets = Lattice._adopt, duality.inclusion_lattice
 
     def counting(self, *args):
         adopt(self, *args)
-        built.append((self.up, self.labels))
+        validated.append(self.up)
+
+    def recording(masks):
+        lattice = of_sets(masks)
+        returned.append((lattice.up, lattice.labels))
+        return lattice
 
     monkeypatch.setattr(Lattice, '_adopt', counting)
+    monkeypatch.setattr(duality, 'inclusion_lattice', recording)
     reports.sweep(4, mode='labeled')
-    assert built
-    assert len(set(built)) == len(built)
+    assert returned and len(set(returned)) == len(returned)
+    assert len(set(validated)) == len(validated)
+    assert set(validated) == {up for up, _ in returned}
+    assert (len(validated), len(returned)) == (72, 243)
+
+
+def _classes_and_relabelings(points):
+    'Every class up to points points, its dual, and a relabeled copy of each.'
+    for n in range(points + 1):
+        for rows in kernels.unlabeled_reps(n):
+            poset = Poset.from_up_rows(rows)
+            for each in (poset, poset.dual()):
+                yield each
+                yield Poset.from_up_rows(kernels.relabel(each.up, range(n - 1, -1, -1)))
+
+
+def _order_data(lat):
+    'Every table and verdict a lattice reads off its order.'
+    return (lat.up, lat.down, lat.bottom, lat.top, lat._meet, lat._pseudocomplements,
+            lat.heyting_witness(), lat.is_distributive(), lat.is_stone(), lat.is_boolean())
+
+
+def test_lattices_of_sets_with_equal_rows_share_exact_order_data():
+    # a second family of sets with the same inclusion order, each set moved
+    # up one point, gets the first lattice's tables and verdicts and keeps
+    # its own labels; what it computes after that stays its own
+    _empty_pool()
+    shared = 0
+    for poset in _classes_and_relabelings(5):
+        for masks in (poset.downset_masks_all, poset.upset_masks_all):
+            lat = duality.inclusion_lattice(masks)
+            assert lat.labels.masks is masks
+            fresh = _order_data(Lattice.from_up_rows(lat.up))
+            assert _order_data(lat) == fresh
+            # one of the two was copied from the other when their rows agree
+            shared += downset_lattice(poset)._meet is lat._meet
+            moved = tuple(s << 1 for s in masks)
+            twin = duality.inclusion_lattice(moved)
+            assert twin.labels.masks is moved and lat.labels.masks is masks
+            assert twin.up is lat.up and twin._meet is lat._meet
+            assert twin._pseudocomplements is lat._pseudocomplements
+            assert _order_data(twin) == fresh
+            assert twin.join(twin.bottom, twin.top) == twin.top
+            assert '_join' in vars(twin) and '_join' not in vars(lat)
+            del lat, twin
+    assert shared > 100
+
+
+def test_an_order_no_lattice_holds_is_validated_again(monkeypatch):
+    validated = []
+    build = kernels.meet_table
+    monkeypatch.setattr(kernels, 'meet_table',
+                        lambda *args: validated.append(args) or build(*args))
+    masks = Poset(3, [(0, 2), (1, 2)]).downset_masks_all
+    _empty_pool()
+    first = duality.inclusion_lattice(masks)
+    second = downset_lattice(v3())
+    assert second == first and second._meet is first._meet
+    assert len(validated) == 1
+    # neither held: the cache cleared and no reference left
+    del first, second
+    _empty_pool()
+    again = duality.inclusion_lattice(masks)
+    assert len(validated) == 2 and validated[-1] == (again.down,)
 
 
 def _cold_sweeps(cache):
@@ -135,6 +204,38 @@ def test_spec_of_downsets_recovers_the_poset():
             back = spec_poset(downset_lattice(p))
             assert back.n == p.n
             assert poset_roundtrip(p)
+
+
+def test_poset_roundtrip_matches_the_canonical_form_route():
+    for poset in _classes_and_relabelings(6):
+        assert poset_roundtrip(poset)
+        assert poset.isomorphic_to(spec_poset(downset_lattice(poset)))
+
+
+def test_poset_roundtrip_of_long_chains_needs_no_canonical_form(monkeypatch):
+    # a chain of 17 points is past the canonical search's node budget
+    def refuse(*args):
+        raise AssertionError('canonical form searched for')
+
+    monkeypatch.setattr(kernels, 'canonical_key', refuse)
+    assert poset_roundtrip(chain_poset(17))
+    assert poset_roundtrip(chain_poset(64))
+
+
+def test_poset_roundtrip_fails_on_a_faulty_prime_layer(monkeypatch):
+    posets = [Poset.from_up_rows(rows) for n in range(1, 5)
+              for rows in kernels.unlabeled_reps(n)]
+    prime_ideals = Lattice.prime_ideals
+    monkeypatch.setattr(Lattice, 'prime_ideals', lambda lat: prime_ideals(lat)[:-1])
+    assert not any(poset_roundtrip(poset) for poset in posets)
+    monkeypatch.setattr(Lattice, 'prime_ideals', prime_ideals)
+    # the right ideals under a spectrum that forgets their order
+    spectrum = duality._spectrum
+    monkeypatch.setattr(duality, '_spectrum', lambda primes: Poset(len(primes)))
+    assert [poset_roundtrip(poset) for poset in posets] == [
+        poset.up == Poset(poset.n).up for poset in posets]
+    monkeypatch.setattr(duality, '_spectrum', spectrum)
+    assert all(poset_roundtrip(poset) for poset in posets)
 
 
 def test_spec_of_nondistributive_lattices():

@@ -18,15 +18,18 @@ MAX_POINTS = 6
 
 
 @lru_cache(maxsize=None)
+def _posets():
+    'Every class up to MAX_POINTS points.'
+    return tuple(Poset.from_up_rows(rows) for n in range(MAX_POINTS + 1)
+                 for rows in kernels.unlabeled_reps(n))
+
+
 def _cases():
-    'Per class up to MAX_POINTS points: (poset, its down-set lattice, masks).'
-    out = []
-    for n in range(MAX_POINTS + 1):
-        for rows in kernels.unlabeled_reps(n):
-            poset = Poset.from_up_rows(rows)
-            lat = downset_lattice(poset)
-            out.append((poset, lat, poset.downset_masks_all))
-    return tuple(out)
+    '''Per class up to MAX_POINTS points: (poset, its down-set lattice, masks).
+    Each lattice comes from the down-set lattice cache when asked for, so
+    this module keeps none alive from one test to the next.'''
+    for poset in _posets():
+        yield poset, downset_lattice(poset), poset.downset_masks_all
 
 
 def _pairs():

@@ -72,16 +72,36 @@ def test_relabel_matches_renumbering_by_pairs():
                     assert kernels.relabel(rows, order) == _renumbered_by_pairs(rows, order)
 
 
+def _inclusion_rows_by_pairs(masks):
+    'Up and down rows of masks under inclusion, from every pair of sets.'
+    pairs = [(i, j) for i, s in enumerate(masks) for j, t in enumerate(masks)
+             if set(bf.members(s)) <= set(bf.members(t))]
+    up = bf.rows_of_rel(len(masks), pairs)
+    down = bf.rows_of_rel(len(masks), [(j, i) for i, j in pairs])
+    return list(up), list(down)
+
+
 def test_inclusion_rows_match_pairwise_subset_scan():
+    # the down-sets and up-sets of every class, and the prime ideals that
+    # _spectrum and minimal_prime_ideals order, of its down-set lattice and
+    # of the lattices of _table_cases, some of them not distributive
+    families = []
     for n in range(7):
         for rows in kernels.unlabeled_reps(n):
             poset = Poset.from_up_rows(rows)
-            for masks in (poset.downset_masks_all, poset.upset_masks_all):
-                pairs = [(i, j) for i, s in enumerate(masks) for j, t in enumerate(masks)
-                         if set(bf.members(s)) <= set(bf.members(t))]
-                up = bf.rows_of_rel(len(masks), pairs)
-                down = bf.rows_of_rel(len(masks), [(j, i) for i, j in pairs])
-                assert kernels.inclusion_rows(masks) == (list(up), list(down))
+            families += [poset.downset_masks_all, poset.upset_masks_all,
+                         [ideal.mask for ideal in downset_lattice(poset).prime_ideals()]]
+    for n, rel in _table_cases():
+        families.append([ideal.mask for ideal in Lattice(n, sorted(rel)).prime_ideals()])
+    for masks in families:
+        assert kernels.inclusion_rows(masks) == _inclusion_rows_by_pairs(masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, (1 << 10) - 1), max_size=40))
+def test_inclusion_rows_of_drawn_families(family):
+    masks = sorted(family)
+    assert kernels.inclusion_rows(masks) == _inclusion_rows_by_pairs(masks)
 
 
 def test_canonical_key_constant_under_relabeling():

@@ -1,5 +1,6 @@
 '''Lattice structure: meets, joins, derived algebra, ideals.'''
 
+import gc
 import pickle
 import random
 
@@ -400,9 +401,43 @@ def _bounded_lattices():
             yield Lattice(n, sorted(order))
 
 
+def _empty_pool():
+    '''Clear the down-set lattice cache and the report caches, then
+    collect, so no lattice of sets that earlier work left alive shares
+    its tables and verdicts with the next one built.'''
+    for fn in (pc_space_report, stone_report, qccl_stone_report, heyting_report,
+               root_forest_report, collapse_report, duality._downset_lattice_cached):
+        fn.cache_clear()
+    gc.collect()
+    assert not duality._orders
+
+
+def _record_lattices(monkeypatch):
+    '''The list of every lattice built from here on: each one validated
+    (Lattice._adopt), and each one inclusion_lattice returns, since a copy
+    of a live lattice's order skips _adopt.'''
+    built = []
+    adopt, of_sets = Lattice._adopt, duality.inclusion_lattice
+
+    def recording(self, *args):
+        adopt(self, *args)
+        built.append(self)
+
+    def returned(masks):
+        lattice = of_sets(masks)
+        built.append(lattice)
+        return lattice
+
+    monkeypatch.setattr(Lattice, '_adopt', recording)
+    monkeypatch.setattr(duality, 'inclusion_lattice', returned)
+    return built
+
+
 def _class_lattices(points):
-    '''Fresh down-set and up-set lattices of every class up to points
-    points: distributive, and Stone on some classes only.'''
+    '''Down-set and up-set lattices of every class up to points points,
+    built from an empty pool: distributive, and Stone on some classes
+    only.'''
+    _empty_pool()
     for n in range(points + 1):
         for rows in kernels.unlabeled_reps(n):
             poset = Poset.from_up_rows(rows)
@@ -556,16 +591,8 @@ def test_random_relations_build_or_raise_input_error(data):
 def test_subspace_lattices_never_build_a_join_table(monkeypatch):
     # the pc-space reports of heyting's closed subspaces read pseudocomplements
     # only, so their lattices stop at the meet table validation built
-    for fn in (pc_space_report, heyting_report, duality._downset_lattice_cached):
-        fn.cache_clear()
-    built = []
-    adopt = Lattice._adopt
-
-    def recording(self, *args):
-        adopt(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(Lattice, '_adopt', recording)
+    _empty_pool()
+    built = _record_lattices(monkeypatch)
     poset = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5)])
     assert heyting_report(poset).all_true
     subspaces = [lat for lat in built if lat is not downset_lattice(poset)]
@@ -578,7 +605,9 @@ def test_lattice_keeps_its_operation_tables():
     # after every verdict it keeps its order, the flat n*n meet table its
     # validation built and the verdicts, and no join table.  The join table
     # comes with the first join read, the triple scan's witness with
-    # distributivity_witness, and the order poset only when asked for
+    # distributivity_witness, and the order poset only when asked for.  From
+    # an empty pool, so no live lattice of the same order lends its verdicts
+    _empty_pool()
     lat = inclusion_lattice(Poset(4).downset_masks_all)
     assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
     assert lat.is_pseudocomplemented() and lat.is_boolean()
@@ -612,7 +641,7 @@ def test_one_table_build_per_lattice(monkeypatch):
     build = kernels.meet_table
     monkeypatch.setattr(kernels, 'meet_table',
                         lambda *args: built.append(args) or build(*args))
-    duality._downset_lattice_cached.cache_clear()
+    _empty_pool()
     poset = Poset(4, [(0, 2), (1, 2), (1, 3)])
     lat = downset_lattice(poset)
     assert built == [(lat.down,)]
@@ -681,18 +710,10 @@ def test_verdicts_never_build_a_join_table(monkeypatch, capsys):
     # join(), non_coprime_witness and the triple scan build the join table.
     # Every lattice is recorded as it is built, so this covers those the
     # down-set lattice cache holds and those check builds
-    built = []
-    adopt = Lattice._adopt
-
-    def recording(self, *args):
-        adopt(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(Lattice, '_adopt', recording)
+    built = _record_lattices(monkeypatch)
     caches = (pc_space_report, stone_report, qccl_stone_report, heyting_report,
               root_forest_report, collapse_report, duality._downset_lattice_cached)
-    for fn in caches:
-        fn.cache_clear()
+    _empty_pool()
     try:
         sweep(4)
         for poset in (v3(), l3(), d4()):
