@@ -7,8 +7,10 @@ order.  Unlabeled mode yields one canonical representative per
 isomorphism class, ascending in the canonical key, so the delivered
 order never depends on how the work was split up.  Its levels grow by
 maximal points: every poset on n points is one on n - 1 points plus a
-maximal point, so each class on n - 1 points is extended once per
-down-set and the results are deduplicated by canonical key.
+maximal point, so each class on n - 1 points is extended by a new
+maximal point above some of its down-sets, about one canonical search
+per class (kernels.unlabeled_reps says which), and the results are
+deduplicated by canonical key.
 
 Labeled mode stops at 6 points, since 7 points already have 6,129,859
 labeled orders; unlabeled mode reaches 8 points (16,999 classes).

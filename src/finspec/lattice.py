@@ -37,7 +37,8 @@ of a finite lattice is principal, so a set of elements is an ideal
 exactly when it is some element's down row, and a proper ideal is prime
 exactly when its complement is some element's up row.  An element is
 join-irreducible exactly when it covers one other, so join_irreducibles
-reads the lower covers.  Two ideals with greatest elements p and q hold
+reads the lower covers, which each lattice walks once and hands to the
+Heyting pass too.  Two ideals with greatest elements p and q hold
 a pair joining to the top exactly when p v q is the top, so the
 coprimality check reads one join per pair of minimal primes and nothing
 else in the ideal layer builds the join table.  The second prime route
@@ -202,6 +203,11 @@ class Lattice:
     # derived algebraic structure
 
     @cached_property
+    def _lower_covers(self):
+        # one walk per lattice, for the join-irreducibles and the Heyting pass
+        return kernels.lower_covers(self.down)
+
+    @cached_property
     def _join_prime_witness(self):
         return kernels.join_prime_witness(self.join_irreducibles(), self.down, self.up)
 
@@ -252,7 +258,7 @@ class Lattice:
 
     @cached_property
     def _implications(self):
-        return kernels.implication_index(self._meet, self.down)
+        return kernels.implication_index(self._meet, self.down, self._lower_covers)
 
     def implication(self, a, b):
         'Greatest x with meet(a, x) <= b, or None; the relative pseudocomplement.'
@@ -270,7 +276,7 @@ class Lattice:
 
     @cached_property
     def _heyting_witness(self):
-        return kernels.heyting_witness(self._meet, self.down)
+        return kernels.heyting_witness(self._meet, self.down, self._lower_covers)
 
     def is_heyting(self):
         return self._heyting_witness is None
@@ -294,7 +300,7 @@ class Lattice:
 
     def join_irreducibles(self):
         'Elements that are no join of two smaller ones: those covering exactly one.'
-        return [j for j, covers in enumerate(kernels.lower_covers(self.down))
+        return [j for j, covers in enumerate(kernels.cover_lists(self._lower_covers))
                 if len(covers) == 1]
 
     # ------------------------------------------------------------------

@@ -109,7 +109,7 @@ class Poset:
 
     def covers(self):
         'Covering pairs (i, j) with j immediately above i, ascending.'
-        below = kernels.lower_covers(self.down)
+        below = kernels.cover_lists(kernels.lower_covers(self.down))
         return sorted((i, j) for j in range(self.n) for i in below[j])
 
     # ------------------------------------------------------------------

@@ -9,6 +9,9 @@ points and the dual of each, enumerated before the clock starts.  Each
 layer runs --repeat times, every time in a new interpreter, so no
 lru_cache carries over from one run to the next:
 
+- unlabeled_reps: enumeration and canonical form, the first layer:
+  kernels.unlabeled_reps(--points) from an empty cache, every level
+  below it included, with the sha256 of the rows it returns (repr);
 - downset_lattice: build the down-set lattice of every input from its
   down-set masks (duality.inclusion_lattice, no cache in between; but
   inputs whose lattices have equal up rows share one validated copy
@@ -47,10 +50,10 @@ The last line of stdout is one JSON object, also written to --out
 (BENCH_layers.json at the root of the checkout by default): per layer,
 the CPU seconds of each run (time.process_time of the child) and the
 child's own peak RSS in MB (VmHWM, inputs included), with the
-median of each, and for the two sweeps the sha256 of their stdout,
-which every run must repeat; then the Python version, the machine, its
-CPU count, the commit (git describe, "-dirty" when the tree differs from
-it) and the input count.  Standard library only.
+median of each, and for unlabeled_reps and the two sweeps the sha256
+of their output, which every run must repeat; then the Python version,
+the machine, its CPU count, the commit (git describe, "-dirty" when the
+tree differs from it) and the input count.  Standard library only.
 
 --count adds one more fresh process per layer, with PYTHONHASHSEED=0,
 that runs the layer's timed work under sys.settrace with
@@ -85,10 +88,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / 'src'
-LAYERS = ('downset_lattice', 'downset_lattice+flags', 'pseudocomplement_vector',
-          'is_distributive', 'distributive_witness', 'closed_subspaces_pc',
-          'heyting_report', 'prime_ideals+via_irreducibles', 'minimal_primes_coprime',
-          'stone_roundtrip', 'poset_roundtrip', 'import')
+LAYERS = ('unlabeled_reps', 'downset_lattice', 'downset_lattice+flags',
+          'pseudocomplement_vector', 'is_distributive', 'distributive_witness',
+          'closed_subspaces_pc', 'heyting_report', 'prime_ideals+via_irreducibles',
+          'minimal_primes_coprime', 'stone_roundtrip', 'poset_roundtrip', 'import')
 
 
 def peak_rss_mb():
@@ -165,7 +168,7 @@ def _counted_child(layer, points):
 
 def _work(layer, points):
     '''The work one layer measures, as a function of no arguments that
-    returns the sha256 of what it prints or None, and the input count or
+    returns the sha256 of its output or None, and the input count or
     None; the inputs are built before this returns.'''
     sys.path.insert(0, str(SRC))
     if layer == 'import':
@@ -173,7 +176,13 @@ def _work(layer, points):
         def work():
             import finspec.cli
         return work, None
-    from finspec import cli, duality, reports
+    from finspec import cli, duality, kernels, reports
+    if layer == 'unlabeled_reps':
+        # nothing has built a level yet in this process
+        def work():
+            reps = kernels.unlabeled_reps(points)
+            return hashlib.sha256(repr(reps).encode()).hexdigest()
+        return work, None
     sweeps = {'sweep': [str(points)],
               'sweep-labeled': [str(min(points, 5)), '--mode', 'labeled']}
     if layer in sweeps:

@@ -603,17 +603,18 @@ def test_subspace_lattices_never_build_a_join_table(monkeypatch):
 def test_lattice_keeps_its_operation_tables():
     # a fresh down-set lattice, so no other test has filled its caches:
     # after every verdict it keeps its order, the flat n*n meet table its
-    # validation built and the verdicts, and no join table.  The join table
-    # comes with the first join read, the triple scan's witness with
-    # distributivity_witness, and the order poset only when asked for.  From
-    # an empty pool, so no live lattice of the same order lends its verdicts
+    # validation built, its lower covers and the verdicts, and no join
+    # table.  The join table comes with the first join read, the triple
+    # scan's witness with distributivity_witness, and the order poset only
+    # when asked for.  From an empty pool, so no live lattice of the same
+    # order lends its verdicts
     _empty_pool()
     lat = inclusion_lattice(Poset(4).downset_masks_all)
     assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
     assert lat.is_pseudocomplemented() and lat.is_boolean()
     verdicts = [
-        '_heyting_witness', '_join_prime_witness', '_meet', '_pseudocomplements',
-        'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
+        '_heyting_witness', '_join_prime_witness', '_lower_covers', '_meet',
+        '_pseudocomplements', 'bottom', 'down', 'full', 'labels', 'n', 'top', 'up']
     assert sorted(vars(lat)) == verdicts
     assert len(lat._meet) == lat.n * lat.n == 256
     assert lat._meet.typecode == 'B'
@@ -631,6 +632,23 @@ def test_lattice_keeps_its_operation_tables():
     order = lat.order_poset()
     assert lat.order_poset() is order and order.down is lat.down
     assert '_order_poset' in vars(lat)
+
+
+def test_one_lower_covers_walk_per_lattice(monkeypatch):
+    # Birkhoff's test, the Heyting pass, the implication table and both
+    # prime routes read the covers of one walk
+    walks = []
+    walk = kernels.lower_covers
+    monkeypatch.setattr(kernels, 'lower_covers', lambda down: walks.append(down) or walk(down))
+    for lat in (m3(), n5(), chain_lattice(5), Lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)])):
+        del walks[:]
+        lat.is_distributive()
+        lat.is_heyting()
+        lat.implication(0, 0)
+        lat.join_irreducibles()
+        if lat.is_distributive():
+            lat.prime_ideals_via_irreducibles()
+        assert walks == [lat.down]
 
 
 def test_one_table_build_per_lattice(monkeypatch):
