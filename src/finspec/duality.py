@@ -17,12 +17,13 @@ of finspec.reports come from rows_cache too.
 
 Beside that cache, inclusion_lattice pools the order data of every
 lattice of sets by its up rows, which fix every table and verdict of a
-Lattice but not its labels.  While the lattice last returned with some
-rows is alive, the next one with those rows takes its rows, meet table
-and verdicts so far and keeps its own labels; otherwise it is built and
-validated in full.  The pool holds one weak reference per row tuple, so
-an entry lasts as long as that lattice and the pool needs no bound of
-its own.  The keys are exact rows, not canonical forms: a relabeled
+Lattice but not its labels.  The pool holds a weak reference to each
+lattice it validated, and every copy it hands out holds its original,
+so an entry lasts exactly as long as some lattice with those rows and
+the pool needs no bound of its own.  While it lasts, the next lattice
+with those rows takes the original's rows, meet table and verdicts so
+far and keeps its own labels; otherwise it is built and validated in
+full.  The keys are exact rows, not canonical forms: a relabeled
 order is another key, and no reading moves to an isomorphic copy.  The
 cache still weighs each lattice by its elements, shared tables or not,
 so LATTICE_CACHE_ELEMENTS now over-counts the memory it holds.
@@ -56,9 +57,9 @@ def inclusion_lattice(masks):
     and the numbering is a linear extension of inclusion; any other
     order raises InputError.  More than DOWNSET_CAP masks raise
     ResourceLimitError before inclusion_rows runs.  Validation runs only
-    when the lattice last returned with the same up rows is no longer
-    alive (the pool of the module docstring); the lattice returned
-    always carries these masks as its labels.
+    when no lattice of sets with the same up rows is alive (the pool of
+    the module docstring); the lattice returned always carries these
+    masks as its labels.
     '''
     check_size('lattice', len(masks))
     last = -1
@@ -73,32 +74,31 @@ def inclusion_lattice(masks):
     live = None if entry is None else entry()
     if live is None:
         lattice = Lattice._from_rows(rows, down, SetLabels(masks))
-    else:
-        # the live lattice's rows, tables and verdicts so far, in a dict of
-        # this lattice's own, so what either computes later stays its own
-        lattice = object.__new__(Lattice)
-        lattice.__dict__.update(vars(live))
-        lattice.labels = SetLabels(masks)
-    entry = _orders[lattice.up] = _Entry(lattice, _forget)
-    entry.rows = lattice.up
+        entry = _orders[rows] = _Entry(lattice, _forget)
+        entry.rows = rows
+        return lattice
+    # the original's rows, tables and verdicts so far, in a dict of this
+    # lattice's own, so what either computes later stays its own; the copy
+    # holds the original, which keeps the pool's entry
+    lattice = object.__new__(Lattice)
+    lattice.__dict__.update(vars(live), labels=SetLabels(masks), _original=live)
     return lattice
 
 
 class _Entry(_weakref.ref):
-    '''A weak reference to the lattice of sets last returned with the rows
-    it is filed under in _orders.  _weakref is loaded at interpreter
-    start; importing weakref would add about 1 ms to the CLI's cold start.'''
+    '''A weak reference to the lattice of sets validated with the rows it
+    is filed under in _orders.  _weakref is loaded at interpreter start;
+    importing weakref would add about 1 ms to the CLI's cold start.'''
     __slots__ = ('rows',)
 
 
-# up rows -> the _Entry of the lattice of sets last returned with them
+# up rows -> the _Entry of the lattice of sets validated with them
 _orders = {}
 
 
 def _forget(entry):
-    'Drop a freed lattice from the pool, unless a newer one holds its rows.'
-    if _orders.get(entry.rows) is entry:
-        del _orders[entry.rows]
+    'Drop a freed lattice from the pool: no lattice with its rows is left.'
+    del _orders[entry.rows]
 
 
 def rows_cache(bound, weight=lambda value: 1):

@@ -15,21 +15,21 @@ Meet and join come from the order alone.  meet_table reads the meet
 off down rows as a flat n*n table, entry a*n + b for the pair (a, b),
 and names the first pair without a meet; a finite bounded poset in which
 every pair has a meet is a lattice, so that one table validates.  Given
-up rows it reads the join table instead, the dual's meet table, which a
-lattice builds only when something first reads a join; no lattice
-verdict does.
+up rows it reads the join table instead, the dual's meet table; only
+the triple scan builds one, and only for as long as it runs.  Every
+other join is one lookup: the common upper bounds of a and b are the up
+row of a v b.
 
 Distributivity has two readings.  join_prime_witness is Birkhoff's
 test on the order rows: a finite lattice is distributive exactly when
 every join-irreducible is join-prime, one set lookup per
 join-irreducible once lower_covers has found them.
-distributive_witness is the triple scan over the meet and join tables.
-It reads one-byte tables only (up to 256 elements), a row at a time
-inside bytes.translate, a few C-level calls per row; its witness is
-still the first failing (a, b, c >= b), since both sides of the law are
-symmetric in b and c.  It raises ResourceLimitError on a two-byte
-table.  The scan tests n**3 triples; Lattice checks them against
-DISTRIBUTIVE_WORK_BUDGET (256**3, the one-byte ceiling) once, before it
+distributive_witness is the triple scan over the meet table and a join
+table it builds from the up rows.  It reads one-byte tables only (up to
+256 elements, 256**3 triples), a row at a time inside bytes.translate,
+a few C-level calls per row; its witness is still the first failing
+(a, b, c >= b), since both sides of the law are symmetric in b and c.
+Given a two-byte meet table it raises ResourceLimitError before it
 builds the join table.
 
 One candidate-set pass, _candidate_tops, reads the meet table, the
@@ -607,37 +607,29 @@ def meet_table(down):
     return meet, None
 
 
-# Most triples one distributivity scan may test: n**3 for n elements.
-# Lattice.distributivity_witness checks it once, before it builds the join
-# table.  256**3 is the ceiling of the one-byte tables the scan reads.
-# Only that scan reads it: is_distributive reads join_prime_witness, which
-# has no budget.  The budget may be lowered, but not raised: past 256
-# elements the scan itself refuses the two-byte tables.
-DISTRIBUTIVE_WORK_BUDGET = 256 ** 3
-
-
-def distributive_witness(meet, join, n):
+def distributive_witness(meet, up):
     '''First triple (a, b, c), c >= b, breaking meet-over-join distributivity.
 
     Tests a ^ (b v c) == (a ^ b) v (a ^ c) for every triple, in the
     order a, then b, then c from b up; None when every triple holds.
 
-    The tables must be one-byte ('B', n <= 256); any other raises
-    ResourceLimitError.  They are scanned a row at a time inside
-    bytes.translate.  For a fixed a, translating the whole join table
-    through meet row a gives a ^ (b v c) at b*n + c, and translating meet
-    row a through join row a ^ b, for each b, gives (a ^ b) v (a ^ c) at
-    the same place; translate wants a 256-byte table, so each row is
-    padded with zeros.  Both sides are symmetric in b and c, so the first
-    row-major mismatch (b, c) has c >= b: a mismatch with c < b would
-    repeat at (c, b), earlier.  That is the triple the loop order above
-    finds first.
+    The meet table must be one-byte ('B', n <= 256); any other raises
+    ResourceLimitError before the join table is built from the up rows.
+    The tables are scanned a row at a time inside bytes.translate.  For a
+    fixed a, translating the whole join table through meet row a gives
+    a ^ (b v c) at b*n + c, and translating meet row a through join row
+    a ^ b, for each b, gives (a ^ b) v (a ^ c) at the same place;
+    translate wants a 256-byte table, so each row is padded with zeros.
+    Both sides are symmetric in b and c, so the first row-major mismatch
+    (b, c) has c >= b: a mismatch with c < b would repeat at (c, b),
+    earlier.  That is the triple the loop order above finds first.
     '''
+    n = len(up)
     if meet.typecode != 'B':
         raise ResourceLimitError('distributivity scan reads one-byte tables, '
                                  'at most 256 elements; got %d' % n)
     pad = bytes(256 - n)
-    meets, joins = meet.tobytes(), join.tobytes()
+    meets, joins = meet.tobytes(), meet_table(up)[0].tobytes()
     join_rows = [joins[x * n:x * n + n] + pad for x in range(n)]
     for a in range(n):
         meet_a = meets[a * n:a * n + n]

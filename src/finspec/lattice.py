@@ -3,13 +3,13 @@
 The constructor closes the relation, checks antisymmetry, locates bottom
 and top, and validates by building the meet table from the order: a
 finite bounded poset in which every pair has a meet is a lattice, so the
-join table is not needed for that.  It is built on first read, as the
-meet table of the dual order; only when validation fails is it built at
-once, to name the first pair that lacks either bound.  Those two tables
-are the single source of truth for meet and join, and the Heyting check
-reads the meet table.  No flag reads the join table: only join(),
-non_coprime_witness and the triple scan build it.  is_distributive
-is Birkhoff's test on the order rows: every join-irreducible is
+meet table validates alone.  Only when validation fails is the join
+table built, as the meet table of the dual order, to name the first pair
+that lacks either bound.  The meet table is the one operation table a
+lattice keeps, and the Heyting check reads it.  A join is read off the
+up rows: the common upper bounds of a and b are the up row of a v b,
+so join() finds the element with that row.  is_distributive is
+Birkhoff's test on the order rows: every join-irreducible is
 join-prime, one set lookup each (kernels.join_prime_witness).  is_stone
 reads a* v a** = 1 off the up rows: a join is the top exactly when the
 top is the only common upper bound, one AND per element.  The
@@ -20,13 +20,13 @@ the cap admits.
 Every table and verdict is a function of the up rows alone; __eq__
 compares nothing else.  So among the lattices of sets that
 duality.inclusion_lattice builds, validation runs only for an order
-whose last such lattice is no longer alive; otherwise the new lattice
-takes that one's tables and verdicts so far, and keeps its own labels.
+that no live lattice of sets holds; otherwise the new lattice takes the
+validated one's tables and verdicts so far, and keeps its own labels.
 
 distributivity_witness is a reading of its own: the triple scan over
-both tables, which weighs its n**3 triples against
-kernels.DISTRIBUTIVE_WORK_BUDGET once, before it builds the join table,
-so past 256 elements it is refused before any scan.  Neither
+the meet table and a join table that kernels.distributive_witness
+builds for the scan alone.  The scan reads one-byte tables, so past 256
+elements it is refused before that join table is built.  Neither
 distributivity reading is derived from the other.  The implications
 come from the candidate-set pass over the meet table that the Heyting
 check runs: the whole a -> b table is built in one pass the first time
@@ -38,14 +38,13 @@ exactly when it is some element's down row, and a proper ideal is prime
 exactly when its complement is some element's up row.  An element is
 join-irreducible exactly when it covers one other, so join_irreducibles
 reads the lower covers, which each lattice walks once and hands to the
-Heyting pass too.  Two ideals with greatest elements p and q hold
-a pair joining to the top exactly when p v q is the top, so the
-coprimality check reads one join per pair of minimal primes and nothing
-else in the ideal layer builds the join table.  The second prime route
-takes the elements not above each join-irreducible j; they form an ideal
-exactly when j is join-prime, and PreconditionError names the first j
-that is not, through the same kernels.join_prime_witness as
-is_distributive.
+Heyting pass too.  Two ideals with greatest elements p and q hold a
+pair joining to the top exactly when p v q is the top, which the
+coprimality check reads off the up rows as is_stone does, one AND per
+pair of minimal primes.  The second prime route takes the elements not
+above each join-irreducible j; they form an ideal exactly when j is
+join-prime, and PreconditionError names the first j that is not,
+through the same kernels.join_prime_witness as is_distributive.
 A lattice has at most DOWNSET_CAP elements, checked once on each way in
 before any super-linear step.  Absent values (a pseudocomplement or
 implication that does not exist) come back as None, never as an error.
@@ -54,7 +53,7 @@ implication that does not exist) come back as None, never as an error.
 from functools import cached_property
 
 from . import kernels
-from .errors import InputError, PreconditionError, ResourceLimitError
+from .errors import InputError, PreconditionError
 from .poset import Poset, check_size, is_int
 
 
@@ -146,10 +145,6 @@ class Lattice:
                 raise InputError('not a lattice: %d and %d have no join' % no_join)
             raise InputError('not a lattice: %d and %d have no meet' % missing)
 
-    @cached_property
-    def _join(self):
-        return kernels.meet_table(self.up)[0]
-
     def __reduce__(self):
         return (Lattice.from_up_rows, (self.up, self.labels))
 
@@ -193,7 +188,8 @@ class Lattice:
     def join(self, a, b):
         self._index(a)
         self._index(b)
-        return self._join[a * self.n + b]
+        # the common upper bounds form the up row of the join
+        return self.up.index(self.up[a] & self.up[b])
 
     def dual(self):
         'Order dual; swaps meet with join and bottom with top.'
@@ -217,21 +213,13 @@ class Lattice:
 
     @cached_property
     def _distributive_witness(self):
-        # the scan tests n**3 triples; past the budget, refuse before the
-        # join table is built
-        n, budget = self.n, kernels.DISTRIBUTIVE_WORK_BUDGET
-        if n ** 3 > budget:
-            raise ResourceLimitError(
-                'distributivity scan of %d elements tests %d triples, past '
-                'DISTRIBUTIVE_WORK_BUDGET (%d)' % (n, n ** 3, budget))
-        return kernels.distributive_witness(self._meet, self._join, n)
+        return kernels.distributive_witness(self._meet, self.up)
 
     def distributivity_witness(self):
         '''Triple (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c), or None.
 
-        The triple scan, a reading apart from is_distributive; past
-        kernels.DISTRIBUTIVE_WORK_BUDGET it raises ResourceLimitError
-        before the join table is built.
+        The triple scan, a reading apart from is_distributive; past 256
+        elements it raises ResourceLimitError before a join table is built.
         '''
         return self._distributive_witness
 
@@ -350,12 +338,13 @@ class Lattice:
 
     def non_coprime_witness(self):
         'Pair of distinct minimal primes with no join reaching top, or None.'
-        join, n = self._join, self.n
+        up, top = self.up, 1 << self.top
         minimal = self.minimal_prime_ideals()
         for i, first in enumerate(minimal):
             for second in minimal[i + 1:]:
-                # every join of their members lies below the join of their tops
-                if join[first.top * n + second.top] != self.top:
+                # every join of their members lies below the join of their
+                # tops, which is the top exactly when the top alone is above both
+                if up[first.top] & up[second.top] != top:
                     return first, second
         return None
 

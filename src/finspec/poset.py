@@ -10,10 +10,10 @@ Point sets cross the API as plain iterables of indices and come back as
 frozensets; mask-level twins of the hot operations are exposed with a
 _mask suffix for the report loops.
 
-Poset is the one owner of order-derived mask data: the down-set masks,
-the up-set masks (their complements) and DOWNSET_CAP, the bound on how
-many down-sets a poset may have.  Every lattice on down-sets or up-sets
-is built from these masks.
+Poset is the one owner of order-derived mask data: the down-set masks
+and DOWNSET_CAP, the bound on how many down-sets a poset may have.  The
+up-set masks are the down-set masks of the dual, kept by the dual alone.
+Every lattice on down-sets or up-sets is built from these masks.
 '''
 
 from functools import cached_property
@@ -412,10 +412,10 @@ class Poset:
         'Every down-set as a mask, ascending; more than DOWNSET_CAP raises.'
         return tuple(kernels.downset_masks(self.up, DOWNSET_CAP))
 
-    @cached_property
+    @property
     def upset_masks_all(self):
-        'Every up-set as a mask, ascending: the complements of the down-sets.'
-        return tuple(sorted(self.full ^ d for d in self.downset_masks_all))
+        'Every up-set as a mask, ascending: the down-sets of the dual.'
+        return self.dual().downset_masks_all
 
     @cached_property
     def canonical_rows(self):

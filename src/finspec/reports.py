@@ -20,12 +20,12 @@ the poset, so a swept poset goes with its cached sets once its survey
 ends.  The reports kept still mostly name no witness and repeat a
 handful of values.  So once an entry's hypotheses and readings have all
 run, _evaluate swaps a witness-free report for one shared equal copy
-(hash-consing); _survey does the same with its per-poset row.  The pool
-is read only after evaluation, never in place of it, so every reading
-still runs on every poset and the caches count as before.  A report
-with a witness is never pooled, so the pool holds only values made of
-the registry's labels, the profile flags and booleans: it stays bounded
-by those, whatever the size of the sweep.
+(hash-consing).  A sweep unpacks each _survey row and drops it, so the
+rows are not pooled.  The pool is read only after evaluation, never in
+place of it, so every reading still runs on every poset and the caches
+count as before.  A report with a witness is never pooled, so the pool
+holds only values made of the registry's labels and booleans: it stays
+bounded by those, whatever the size of the sweep.
 
 closed_subspaces_pc builds each proper closed subspace numbered by
 degree (closed_subspaces), so isomorphic subspaces of one poset mostly
@@ -385,14 +385,8 @@ REGISTRY = {
 THEOREMS = tuple(REGISTRY)
 
 
-# Witness-free records, each kept once: one table per record type, since
-# a named tuple compares equal to the plain tuple of its fields.
-_REPORTS, _ROWS = {}, {}
-
-
-def _shared(table, record):
-    'The one copy of record that table keeps.'
-    return table.setdefault(record, record)
+# Witness-free reports, each kept once
+_REPORTS = {}
 
 
 def _evaluate(poset, theorem):
@@ -408,7 +402,7 @@ def _evaluate(poset, theorem):
         holds, witness = reading(poset, lattice)
         conditions.append(Condition(label, bool(holds), group, witness))
     report = ConditionReport(theorem, tuple(conditions), hypotheses)
-    return report if report.witness is not None else _shared(_REPORTS, report)
+    return report if report.witness is not None else _REPORTS.setdefault(report, report)
 
 
 # ----------------------------------------------------------------------
@@ -525,8 +519,8 @@ def lattice_flags(lattice, subject):
     '''The boolean, heyting, stone and pseudocomplemented flags of lattice,
     implications enforced; an AgreementError names subject.
 
-    Every flag reads the order rows or the meet table, and none builds
-    the join table or refuses past a work budget.'''
+    Every flag reads the order rows or the meet table, so each runs at
+    any size the cap admits.'''
     flags = dict(boolean=lattice.is_boolean(), heyting=lattice.is_heyting(),
                  stone=lattice.is_stone(), pseudocomplemented=lattice.is_pseudocomplemented())
     if flags['boolean'] and not (flags['heyting'] and flags['stone']):
@@ -558,7 +552,7 @@ def _survey(poset):
         report = theorem_report(poset, theorem)
         if report.hypothesis_satisfied and not report.agreement:
             broken.append(theorem)
-    return _shared(_ROWS, (profile, tuple(broken)))
+    return profile, tuple(broken)
 
 
 def _surveyed(poset):

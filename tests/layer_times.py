@@ -23,7 +23,8 @@ lru_cache carries over from one run to the next:
 - is_distributive: Birkhoff's test on every lattice built before the
   clock starts, one set lookup per join-irreducible after lower_covers;
 - distributive_witness: distributivity_witness() on the same lattices,
-  which builds each join table and runs the byte scan;
+  the byte scan over each meet table and a join table it builds from
+  the up rows for itself;
 - closed_subspaces_pc: the heyting reading on every input, with cold
   report caches;
 - heyting_report: the whole heyting report on every input, with cold

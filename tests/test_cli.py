@@ -23,6 +23,7 @@ from finspec.fixtures import antichain, bool_lattice, chain_poset, v3
 from finspec.lattice import Lattice
 from finspec.poset import DOWNSET_CAP
 from finspec.reports import PROFILE_FLAGS, classify
+from test_lattice import _record_table_builds
 
 
 def run(capsys, *argv):
@@ -386,31 +387,28 @@ def test_builtin_sizes_past_the_caps_exit_three_at_once(capsys, name, cap):
 
 
 def test_distributivity_scan_past_the_work_budget_is_refused(capsys, monkeypatch):
-    # bool8 has 256 elements, 256**3 triples: one below that budget the
-    # triple scan is refused before the join table is built, naming the
-    # budget, and at it the scan runs.  check reads Birkhoff's test, not
-    # the scan, so it prints the profile under either budget
+    # bool8 has 256 elements, the most the scan's one-byte tables hold: the
+    # triple scan runs, on a join table built from the up rows for it alone.
+    # check reads Birkhoff's test, not the scan, and builds no join table
     lat = bool_lattice(8)
-    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3 - 1)
-    with pytest.raises(ResourceLimitError) as exc:
-        lat.distributivity_witness()
-    assert str(exc.value) == ('distributivity scan of 256 elements tests 16777216 '
-                              'triples, past DISTRIBUTIVE_WORK_BUDGET (16777215)')
-    assert '_join' not in vars(lat)
+    given = _record_table_builds(monkeypatch)
     code, out, err = run(capsys, 'check', 'bool8')
     assert code == 0 and '  distributive         true' in out and err == ''
-    monkeypatch.setattr(kernels, 'DISTRIBUTIVE_WORK_BUDGET', 256 ** 3)
+    assert lat.up not in given
     assert lat.distributivity_witness() is None
+    assert given[-1] == lat.up
 
 
 def test_default_work_budget_refuses_bool9_without_a_scan(capsys, monkeypatch):
     # check bool9 reads every verdict off the order rows and the meet
     # table: it prints the Boolean profile within 5 s of CPU (about 0.2 s
-    # on a 2-core x86_64 host) and never runs the triple scan, which the
-    # default budget refuses on 512 elements before the join table is built
-    assert kernels.DISTRIBUTIVE_WORK_BUDGET == 256 ** 3
+    # on a 2-core x86_64 host) and never runs the triple scan, which
+    # refuses 512 elements before the join table is built
     scans = []
-    monkeypatch.setattr(kernels, 'distributive_witness', lambda *args: scans.append(args))
+    scan = kernels.distributive_witness
+    monkeypatch.setattr(kernels, 'distributive_witness',
+                        lambda *args: scans.append(args) or scan(*args))
+    given = _record_table_builds(monkeypatch)
     start = time.process_time()
     code, out, err = run(capsys, 'check', 'bool9')
     assert time.process_time() - start < 5.0
@@ -419,10 +417,11 @@ def test_default_work_budget_refuses_bool9_without_a_scan(capsys, monkeypatch):
         '  %-20s true' % flag
         for flag in ('distributive', 'pseudocomplemented', 'stone', 'heyting', 'boolean')]
     lat = bool_lattice(9)
-    with pytest.raises(ResourceLimitError, match='^distributivity scan of 512 elements '
-                       'tests 134217728 triples, past DISTRIBUTIVE_WORK_BUDGET '):
+    assert lat.up not in given
+    with pytest.raises(ResourceLimitError, match='^distributivity scan reads one-byte '
+                       'tables, at most 256 elements; got 512$'):
         lat.distributivity_witness()
-    assert scans == [] and '_join' not in vars(lat)
+    assert scans == [(lat._meet, lat.up)] and lat.up not in given
 
 
 def test_resource_limits_exit_three(capsys, tmp_path):

@@ -14,7 +14,7 @@ from finspec.fixtures import a2, antichain, bool_lattice, c2, chain_lattice, \
     chain_poset, l3, m3, n5, v3
 from finspec.lattice import Lattice, SetLabels
 from finspec.poset import DOWNSET_CAP, Poset, are_isomorphic
-from test_lattice import _empty_pool
+from test_lattice import _empty_pool, _record_table_builds
 
 
 def test_downset_lattice_of_v3():
@@ -118,11 +118,13 @@ def _order_data(lat):
             lat.heyting_witness(), lat.is_distributive(), lat.is_stone(), lat.is_boolean())
 
 
-def test_lattices_of_sets_with_equal_rows_share_exact_order_data():
+def test_lattices_of_sets_with_equal_rows_share_exact_order_data(monkeypatch):
     # a second family of sets with the same inclusion order, each set moved
     # up one point, gets the first lattice's tables and verdicts and keeps
-    # its own labels; what it computes after that stays its own
+    # its own labels; what it computes after that stays its own, and a
+    # join it reads builds no join table
     _empty_pool()
+    given = _record_table_builds(monkeypatch)
     shared = 0
     for poset in _classes_and_relabelings(5):
         for masks in (poset.downset_masks_all, poset.upset_masks_all):
@@ -139,7 +141,9 @@ def test_lattices_of_sets_with_equal_rows_share_exact_order_data():
             assert twin._pseudocomplements is lat._pseudocomplements
             assert _order_data(twin) == fresh
             assert twin.join(twin.bottom, twin.top) == twin.top
-            assert '_join' in vars(twin) and '_join' not in vars(lat)
+            assert twin.implication(twin.top, twin.bottom) == twin.bottom
+            assert '_implications' in vars(twin) and '_implications' not in vars(lat)
+            assert lat.n == 1 or lat.up not in given
             del lat, twin
     assert shared > 100
 
@@ -160,6 +164,29 @@ def test_an_order_no_lattice_holds_is_validated_again(monkeypatch):
     _empty_pool()
     again = duality.inclusion_lattice(masks)
     assert len(validated) == 2 and validated[-1] == (again.down,)
+
+
+def test_the_pool_keeps_an_order_while_any_lattice_holds_it(monkeypatch):
+    validated = _record_table_builds(monkeypatch)
+    _empty_pool()
+    # a transient copy dies while the validated lattice lives in the cache
+    held = downset_lattice(antichain(3))
+    assert len(validated) == 1
+    bool_lattice(3)
+    again = bool_lattice(3)
+    assert len(validated) == 1 and again._meet is held._meet
+    del held, again
+    _empty_pool()
+    # the validated lattice dies while a copy lives
+    masks = Poset(3, [(0, 2), (1, 2)]).downset_masks_all
+    first = duality.inclusion_lattice(masks)
+    copy = duality.inclusion_lattice(tuple(s << 1 for s in masks))
+    assert len(validated) == 2
+    del first
+    third = duality.inclusion_lattice(masks)
+    assert len(validated) == 2 and third._meet is copy._meet
+    del copy, third
+    _empty_pool()
 
 
 def _cold_sweeps(cache):

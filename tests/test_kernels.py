@@ -14,7 +14,7 @@ from finspec.errors import ResourceLimitError
 from finspec.lattice import Lattice
 from finspec.poset import Poset, are_isomorphic
 from test_fileio import random_posets
-from test_lattice import _table_cases
+from test_lattice import _record_table_builds, _table_cases
 
 
 def test_transitive_closure_matches_pair_oracle():
@@ -227,7 +227,7 @@ def test_lattice_helper_values_on_diamond():
     up = [0b1111, 0b1010, 0b1100, 0b1000]
     assert kernels.pseudocomplement_vector(down, up, 0) == [3, 2, 1, 0]
     assert kernels.prime_element_mask(down, up) == 0b0110
-    meet, join = kernels.meet_table(down)[0], kernels.meet_table(up)[0]
+    meet = kernels.meet_table(down)[0]
     # flat n*n table, entry a*n + b holding a -> b: (not a) | b on two atoms
     covers = kernels.lower_covers(down)
     assert _cover_lists(covers) == [[], [0], [0], [1, 2]]
@@ -237,7 +237,7 @@ def test_lattice_helper_values_on_diamond():
                               2, 3, 2, 3,
                               1, 1, 3, 3,
                               0, 1, 2, 3]
-    assert kernels.distributive_witness(meet, join, 4) is None
+    assert kernels.distributive_witness(meet, up) is None
     assert kernels.heyting_witness(meet, down, covers) is None
 
 
@@ -290,8 +290,8 @@ def test_lattice_helpers_on_any_numbering():
     for a in range(n):
         want[perm[a]] = perm[base_pc[a]]
     assert kernels.pseudocomplement_vector(down, up, perm[0]) == want
-    meet, join = kernels.meet_table(down)[0], kernels.meet_table(up)[0]
-    assert kernels.distributive_witness(meet, join, n) is None
+    meet = kernels.meet_table(down)[0]
+    assert kernels.distributive_witness(meet, up) is None
     assert kernels.heyting_witness(meet, down, kernels.lower_covers(down)) is None
     assert kernels.prime_element_mask(down, up) == sum(
         1 << perm[i] for i in range(n)
@@ -339,19 +339,23 @@ def test_renumbering_commutes_with_lattice_kernels(poset, rng):
         for x in kernels.bit_indices(kernels.prime_element_mask(lat.down, lat.up)))
 
 
-def test_distributive_witness_on_byte_and_wide_tables():
-    # the 'B' tables take the translate scan, which must name the oracle's
-    # first failing triple; 'H' copies of the same tables are refused
+def test_distributive_witness_on_byte_and_wide_tables(monkeypatch):
+    # a 'B' meet table takes the translate scan, over a join table built
+    # from the up rows, which must name the oracle's first failing triple;
+    # an 'H' copy of the same table is refused before any join table
     failures = 0
+    given = _record_table_builds(monkeypatch)
     for n, rel in _table_cases():
         lat = Lattice(n, sorted(rel))
         want = bf.first_distributivity_failure(*bf.bound_tables(n, rel))
         failures += want is not None
         assert lat._meet.typecode == 'B'
-        assert kernels.distributive_witness(lat._meet, lat._join, n) == want
-        wide = array('H', lat._meet), array('H', lat._join)
+        del given[:]
+        assert kernels.distributive_witness(lat._meet, lat.up) == want
+        assert given == [lat.up]
         with pytest.raises(ResourceLimitError, match='one-byte tables'):
-            kernels.distributive_witness(*wide, n)
+            kernels.distributive_witness(array('H', lat._meet), lat.up)
+        assert given == [lat.up]
     assert failures > 0
 
 

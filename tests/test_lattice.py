@@ -433,6 +433,24 @@ def _record_lattices(monkeypatch):
     return built
 
 
+def _record_table_builds(monkeypatch):
+    '''The rows, as tuples, that each kernels.meet_table call receives from
+    here on: a lattice's down rows build its meet table, its up rows a
+    join table.'''
+    given = []
+    build = kernels.meet_table
+    monkeypatch.setattr(kernels, 'meet_table',
+                        lambda rows: given.append(tuple(rows)) or build(rows))
+    return given
+
+
+def _join_tables_built(lattices, given):
+    '''The lattices of two or more elements whose up rows some recorded
+    meet_table call received; one element's up and down rows are equal.'''
+    ups = set(given)
+    return [lat for lat in lattices if lat.n > 1 and lat.up in ups]
+
+
 def _class_lattices(points):
     '''Down-set and up-set lattices of every class up to points points,
     built from an empty pool: distributive, and Stone on some classes
@@ -443,6 +461,34 @@ def _class_lattices(points):
             poset = Poset.from_up_rows(rows)
             yield inclusion_lattice(poset.downset_masks_all)
             yield inclusion_lattice(poset.upset_masks_all)
+
+
+def test_joins_match_the_bound_scan():
+    # join() looks up the up row of common upper bounds; the oracle scans
+    # the common upper bounds of each pair in the bare relation for a least
+    # one.  Renumbered and non-distributive lattices included
+    lattices = [Lattice(n, sorted(rel)) for n, rel in _table_cases()]
+    lattices += _bounded_lattices()
+    assert any(not lat.is_distributive() for lat in lattices)
+    assert any(_out_of_order(lat) for lat in lattices)
+    for lat in lattices:
+        join = bf.bound_tables(lat.n, bf.rel_of_rows(lat.up))[1]
+        assert [[lat.join(a, b) for b in range(lat.n)] for a in range(lat.n)] == join
+
+
+def test_scan_past_256_elements_builds_no_join_table(monkeypatch):
+    # the scan reads one-byte tables: it refuses a larger lattice before it
+    # builds a join table, and caches no witness.  On m3 the recorder sees
+    # the one join table the scan builds
+    small, large = m3(), (bool_lattice(9), chain_lattice(257))
+    given = _record_table_builds(monkeypatch)
+    for lat in large:
+        with pytest.raises(ResourceLimitError, match='^distributivity scan reads one-byte '
+                           'tables, at most 256 elements; got %d$' % lat.n):
+            lat.distributivity_witness()
+        assert '_distributive_witness' not in vars(lat)
+    assert given == []
+    assert small.distributivity_witness() is not None and given == [small.up]
 
 
 def test_constructor_names_first_missing_bound():
@@ -465,7 +511,7 @@ def test_constructor_names_first_missing_bound():
         Lattice(8, crown)
 
 
-def _stone_by_join_table(lat, pseudocomplements):
+def _stone_by_joins(lat, pseudocomplements):
     'Every a* v a** is the top, read through Lattice.join.'
     return None not in pseudocomplements and all(
         lat.join(p, pseudocomplements[p]) == lat.top for p in pseudocomplements)
@@ -475,21 +521,21 @@ def test_pseudocomplements_of_bounded_orders_match_scan():
     # the same bounded orders: the atom route of pseudocomplement_vector
     # against a scan, on lattices that are neither distributive nor
     # pseudocomplemented as well as on those that are; and Stone's law on
-    # the up rows against the join table, there and on the down-set and
-    # up-set lattices of the classes
+    # the up rows against Lattice.join, which test_joins_match_the_bound_scan
+    # checks, there and on the down-set and up-set lattices of the classes
     kinds = set()
     for lat in _bounded_lattices():
         want = [bf.pseudocomplement_by_scan(lat, a) for a in range(lat.n)]
         got = kernels.pseudocomplement_vector(lat.down, lat.up, lat.bottom)
         assert got == [-1 if x is None else x for x in want]
-        stone = _stone_by_join_table(lat, want)
+        stone = _stone_by_joins(lat, want)
         assert lat.is_stone() == stone
         kinds.add((lat.is_distributive(), None not in want, stone))
     assert kinds == {(True, True, True), (True, True, False), (False, True, True),
                      (False, True, False), (False, False, False)}
     stones = set()
     for lat in _class_lattices(6):
-        stone = _stone_by_join_table(lat, [lat.pseudocomplement(a) for a in range(lat.n)])
+        stone = _stone_by_joins(lat, [lat.pseudocomplement(a) for a in range(lat.n)])
         assert lat.is_stone() == stone
         stones.add(stone)
     assert stones == {True, False}
@@ -544,13 +590,16 @@ def test_prime_ideals_via_irreducibles_needs_join_prime_irreducibles():
             'distributive lattice' % j)
 
 
-def test_spectrum_never_builds_a_join_table():
-    # prime ideals, ideal checks and join-irreducibles read the order rows
+def test_spectrum_never_builds_a_join_table(monkeypatch):
+    # prime ideals, ideal checks, join-irreducibles and the coprimality of
+    # the minimal primes read the order rows
     lat = n5()
+    given = _record_table_builds(monkeypatch)
     assert duality.spec_poset(lat).n == 2
     assert all(ideal.is_prime() for ideal in lat.prime_ideals())
     assert lat.join_irreducibles() == [1, 2, 3]
-    assert '_join' not in vars(lat)
+    assert lat.minimal_primes_coprime()
+    assert _join_tables_built([lat], given) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -593,23 +642,26 @@ def test_subspace_lattices_never_build_a_join_table(monkeypatch):
     # only, so their lattices stop at the meet table validation built
     _empty_pool()
     built = _record_lattices(monkeypatch)
+    given = _record_table_builds(monkeypatch)
     poset = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5)])
     assert heyting_report(poset).all_true
     subspaces = [lat for lat in built if lat is not downset_lattice(poset)]
     assert len(subspaces) > 10
-    assert not any('_join' in vars(lat) for lat in subspaces)
+    assert _join_tables_built(subspaces, given) == []
 
 
-def test_lattice_keeps_its_operation_tables():
+def test_lattice_keeps_its_operation_tables(monkeypatch):
     # a fresh down-set lattice, so no other test has filled its caches:
     # after every verdict it keeps its order, the flat n*n meet table its
     # validation built, its lower covers and the verdicts, and no join
-    # table.  The join table comes with the first join read, the triple
-    # scan's witness with distributivity_witness, and the order poset only
-    # when asked for.  From an empty pool, so no live lattice of the same
-    # order lends its verdicts
+    # table.  A join read keeps nothing; the triple scan builds a join
+    # table for itself and keeps only its witness; the order poset comes
+    # only when asked for.  From an empty pool, so no live lattice of the
+    # same order lends its verdicts
     _empty_pool()
+    given = _record_table_builds(monkeypatch)
     lat = inclusion_lattice(Poset(4).downset_masks_all)
+    assert given == [lat.down]
     assert lat.is_distributive() and lat.is_heyting() and lat.is_stone()
     assert lat.is_pseudocomplemented() and lat.is_boolean()
     verdicts = [
@@ -620,10 +672,10 @@ def test_lattice_keeps_its_operation_tables():
     assert lat._meet.typecode == 'B'
     # element i is the set with mask i
     assert lat.join(1, 2) == 3
-    assert sorted(vars(lat)) == sorted(verdicts + ['_join'])
-    assert len(lat._join) == 256 and lat._join.typecode == 'B'
+    assert sorted(vars(lat)) == verdicts and given == [lat.down]
     assert lat.distributivity_witness() is None
-    verdicts += ['_distributive_witness', '_join']
+    assert given == [lat.down, lat.up]
+    verdicts.append('_distributive_witness')
     assert sorted(vars(lat)) == sorted(verdicts)
     # the implication table is built by the first implication call only
     assert lat.implication(1, 2) == 2 + 4 + 8
@@ -652,25 +704,23 @@ def test_one_lower_covers_walk_per_lattice(monkeypatch):
 
 
 def test_one_table_build_per_lattice(monkeypatch):
-    # validation builds the meet table; classify and every verdict read no
-    # join table, the first join read builds it, and meet and join only
-    # read the two tables after that
-    built = []
-    build = kernels.meet_table
-    monkeypatch.setattr(kernels, 'meet_table',
-                        lambda *args: built.append(args) or build(*args))
+    # validation builds the meet table; classify, every verdict and every
+    # join read no join table, and only the triple scan builds one, once
     _empty_pool()
+    built = _record_table_builds(monkeypatch)
     poset = Poset(4, [(0, 2), (1, 2), (1, 3)])
     lat = downset_lattice(poset)
-    assert built == [(lat.down,)]
+    assert built == [lat.down]
     assert classify(poset).stone == lat.is_stone()
     assert lat.is_distributive() and not lat.is_boolean()
-    assert built == [(lat.down,)]
     assert lat.join(0, 0) == 0
-    assert built == [(lat.down,), (lat.up,)]
     for a in range(lat.n):
         for b in range(lat.n):
             assert lat.leq(lat.meet(a, b), a) and lat.leq(a, lat.join(a, b))
+    assert built == [lat.down]
+    assert lat.distributivity_witness() is None
+    assert lat.distributivity_witness() is None
+    assert built == [lat.down, lat.up]
     assert downset_lattice(poset) is lat
     assert len(built) == 2
 
@@ -725,10 +775,11 @@ def test_verdicts_never_build_the_implication_table(monkeypatch):
 
 def test_verdicts_never_build_a_join_table(monkeypatch, capsys):
     # every lattice verdict reads the order rows or the meet table; only
-    # join(), non_coprime_witness and the triple scan build the join table.
-    # Every lattice is recorded as it is built, so this covers those the
-    # down-set lattice cache holds and those check builds
+    # the triple scan builds a join table.  Every lattice is recorded as it
+    # is built, so this covers those the down-set lattice cache holds and
+    # those check builds
     built = _record_lattices(monkeypatch)
+    given = _record_table_builds(monkeypatch)
     caches = (pc_space_report, stone_report, qccl_stone_report, heyting_report,
               root_forest_report, collapse_report, duality._downset_lattice_cached)
     _empty_pool()
@@ -740,12 +791,12 @@ def test_verdicts_never_build_a_join_table(monkeypatch, capsys):
         held = [downset_lattice(Poset.from_up_rows(rows))
                 for n in range(5) for rows in kernels.unlabeled_reps(n)]
         assert all(any(lat is other for other in built) for lat in held)
-        assert [lat for lat in built if '_join' in vars(lat)] == []
+        assert _join_tables_built(built, given) == []
         for name in ('m3', 'n5', 'bool3', 'bool9'):
             assert cli.main(['check', name]) == 0
         capsys.readouterr()
         assert {lat.n for lat in built} >= {5, 8, 512}
-        assert [lat for lat in built if '_join' in vars(lat)] == []
+        assert _join_tables_built(built, given) == []
     finally:
         for fn in caches:
             fn.cache_clear()

@@ -142,6 +142,18 @@ def test_constructible_algebra_trivializes():
             assert all(p.is_constructible_mask(s) for s in range(1 << n))
 
 
+def test_upset_masks_are_the_sorted_complements_of_the_downset_masks():
+    # the up-sets come from the dual's down-sets; the reference takes the
+    # complement of each down-set and sorts them
+    rows_of = [rows for n in range(5) for rows in kernels.labeled_stream(n)]
+    rows_of += [rows for n in range(7) for rows in kernels.unlabeled_reps(n)]
+    for rows in rows_of:
+        p = Poset.from_up_rows(rows)
+        want = tuple(sorted(p.full ^ d for d in p.downset_masks_all))
+        assert p.upset_masks_all == want
+        assert p.upset_masks_all is p.dual().downset_masks_all
+
+
 def test_compactness_is_computed_from_patch_closure():
     for rows in kernels.labeled_stream(4):
         p = Poset.from_up_rows(rows)
