@@ -18,7 +18,8 @@ argparse itself is imported only to print help or a usage error: a
 parser built from COMMANDS renders them, and never parses.
 
 An input file must be UTF-8, or it exits 2 naming the first bad byte's
-offset; one longer than fileio.MAX_INPUT_BYTES (64 MiB) exits 3 unread.
+offset; one longer than fileio.MAX_INPUT_BYTES (64 MiB) exits 3 after at
+most that cap + 1 bytes are read, so /dev/zero ends too.
 '''
 
 import json

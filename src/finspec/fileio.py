@@ -24,6 +24,13 @@ order, so a stale header fails loudly instead of shifting meaning.
 A size above DOWNSET_CAP is refused as soon as it is read, before any
 point is built.
 
+One pass goes from file to order.  read_path reads a first chunk of
+FIRST_READ_BYTES and reads on toward MAX_INPUT_BYTES only when that
+chunk comes back full, so at most MAX_INPUT_BYTES + 1 bytes are read
+and a longer file is refused.  The parsed pairs go to Poset or Lattice,
+which build the up and down rows in one topological pass
+(kernels.order_rows); Warshall's closure runs only to name a cycle.
+
 JSON carries the same data with an explicit kind discriminator::
 
     {"kind": "poset", "size": 3, "less_than": [[0, 2], [1, 2]]}
@@ -63,6 +70,16 @@ def parse_text(text):
         line = raw.split('#', 1)[0].strip()
         if not line:
             continue
+        # pair lines dominate, so they are tried first; before the header
+        # one falls through to the header error below
+        m = _PAIR.match(line)
+        if m and kind is not None:
+            i, j = _number(m.group(1), lineno), _number(m.group(2), lineno)
+            if not (i < size and j < size):
+                raise InputError('line %d: pair (%d, %d) out of range for '
+                                 '%d points' % (lineno, i, j, size))
+            pairs.append((i, j))
+            continue
         m = _HEADER.match(line)
         if m:
             if kind is not None:
@@ -73,14 +90,6 @@ def parse_text(text):
         if kind is None:
             raise InputError('line %d: expected a "poset N" or "lattice N" '
                              'header before %r' % (lineno, line))
-        m = _PAIR.match(line)
-        if m:
-            i, j = _number(m.group(1), lineno), _number(m.group(2), lineno)
-            if not (i < size and j < size):
-                raise InputError('line %d: pair (%d, %d) out of range for '
-                                 '%d points' % (lineno, i, j, size))
-            pairs.append((i, j))
-            continue
         m = _BOUND.match(line)
         if m:
             if kind != 'lattice':
@@ -122,14 +131,12 @@ def from_json_obj(obj):
         raise InputError('json kind must be "poset" or "lattice", got %r' % kind)
     size = _require(obj, 'size', int)
     check_size(kind, size)
-    raw_pairs = _require(obj, 'less_than', list)
-    pairs = []
-    for entry in raw_pairs:
+    pairs = _require(obj, 'less_than', list)
+    for entry in pairs:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(is_int(v) for v in entry)):
+                and is_int(entry[0]) and is_int(entry[1])):
             raise InputError('less_than entries must be [i, j] pairs, got %r'
                              % (entry,))
-        pairs.append(tuple(entry))
     if kind == 'poset':
         for key in ('bottom', 'top'):
             if key in obj:
@@ -164,8 +171,14 @@ def parse(text):
 # only, and an order on DOWNSET_CAP = 4096 points has at most 4096**2 / 4
 # of them (a covering graph has no triangle, so Mantel's bound holds):
 # 48 MiB as "i < j" lines, 56 MiB as json pairs.  A longer file exits 3
-# instead of being read whole, which for /dev/zero would never end.
+# after at most MAX_INPUT_BYTES + 1 bytes, instead of being read whole,
+# which for /dev/zero would never end.
 MAX_INPUT_BYTES = 64 << 20
+# The first read.  read(k) allocates k bytes before it reads, so asking
+# for the whole cap at once would map and free 64 MiB for every file;
+# read(k) comes back short only at the end of the file, so only a full
+# first chunk reads on toward the cap.
+FIRST_READ_BYTES = 64 << 10
 
 
 def read_path(path):
@@ -173,7 +186,10 @@ def read_path(path):
     MAX_INPUT_BYTES long."""
     try:
         with open(path, 'rb') as handle:
-            data = handle.read(MAX_INPUT_BYTES + 1)
+            first = min(FIRST_READ_BYTES, MAX_INPUT_BYTES + 1)
+            data = handle.read(first)
+            if len(data) == first:
+                data += handle.read(MAX_INPUT_BYTES + 1 - first)
     except OSError as exc:
         raise InputError('cannot read %s: %s' % (path, exc.strerror)) from None
     if len(data) > MAX_INPUT_BYTES:

@@ -5,6 +5,12 @@ bit j set when i <= j.  Python ints are unbounded, so every kernel works
 at any size; the callers' caps bound the work, and canonical_key carries
 its own node budget.
 
+order_rows builds the up and down rows of the order that a list of
+pairs generates in one topological pass (Kahn, "Topological sorting of
+large networks", CACM 1962), one OR per pair on each side, and returns
+None on a cycle.  Only then do transitive_closure (Warshall) and
+antisymmetry_violation run, to name the first pair on the cycle.
+
 Lattice helpers take `down` rows (bit j of row i set when j <= i) in any
 numbering.  Every set whose greatest element they look for is down-closed,
 and a down-closed set has a greatest element exactly when it is that
@@ -69,6 +75,45 @@ def bit_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def order_rows(n, pairs):
+    '''Up and down rows of the order the pairs (i, j), i <= j, generate on
+    n points, or None when they close a cycle; the pairs are in range.
+
+    One topological pass (Kahn's algorithm) orders the points, then the
+    up rows fill in reverse topological order and the down rows in
+    topological order, one OR per pair on each side.  Self-pairs add
+    nothing and a repeated pair only repeats its OR.
+    '''
+    above = [[] for _ in range(n)]
+    indegree = [0] * n
+    for i, j in pairs:
+        if i != j:
+            above[i].append(j)
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    # the loop reads each point appended behind it
+    for i in order:
+        for j in above[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        return None
+    up = [1 << i for i in range(n)]
+    down = up[:]
+    for i in reversed(order):
+        row = up[i]
+        for j in above[i]:
+            row |= up[j]
+        up[i] = row
+    # every point below i comes before it, so down[i] is whole when read
+    for i in order:
+        row = down[i]
+        for j in above[i]:
+            down[j] |= row
+    return up, down
 
 
 def transitive_closure(rows):

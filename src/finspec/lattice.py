@@ -1,21 +1,23 @@
 '''Finite bounded lattices specified by their order alone.
 
-The constructor closes the relation, checks antisymmetry, locates bottom
-and top, and validates by building the meet table from the order: a
-finite bounded poset in which every pair has a meet is a lattice, so the
-meet table validates alone.  Only when validation fails is the join
-table built, as the meet table of the dual order, to name the first pair
-that lacks either bound.  The meet table is the one operation table a
-lattice keeps, and the Heyting check reads it.  A join is read off the
-up rows: the common upper bounds of a and b are the up row of a v b,
-so join() finds the element with that row.  is_distributive is
-Birkhoff's test on the order rows: every join-irreducible is
-join-prime, one set lookup each (kernels.join_prime_witness).  is_stone
-reads a* v a** = 1 off the up rows: a join is the top exactly when the
-top is the only common upper bound, one AND per element.  The
-pseudocomplements and is_boolean read the order masks too, by their
-definitions in terms of the order.  So every verdict runs at any size
-the cap admits.
+The constructor takes the up and down rows of its order from Poset,
+which builds both in one topological pass over the pairs
+(kernels.order_rows), so nothing is transposed; Warshall's closure runs
+only to name a cycle.  It locates bottom and top, and validates by
+building the meet table from the order: a finite bounded poset in which
+every pair has a meet is a lattice, so the meet table validates alone.
+Only when validation fails is the join table built, as the meet table of
+the dual order, to name the first pair that lacks either bound.  The
+meet table is the one operation table a lattice keeps, and the Heyting
+check reads it.  A join is read off the up rows: the common upper bounds
+of a and b are the up row of a v b, so join() finds the element with
+that row.  is_distributive is Birkhoff's test on the order rows: every
+join-irreducible is join-prime, one set lookup each
+(kernels.join_prime_witness).  is_stone reads a* v a** = 1 off the up
+rows: a join is the top exactly when the top is the only common upper
+bound, one AND per element.  The pseudocomplements and is_boolean read
+the order masks too, by their definitions in terms of the order.  So
+every verdict runs at any size the cap admits.
 
 Every table and verdict is a function of the up rows alone; __eq__
 compares nothing else.  So among the lattices of sets that
@@ -86,8 +88,8 @@ class Lattice:
     def __init__(self, n, relation=(), bottom=None, top=None, labels=None):
         if not is_int(n) or n < 1:
             raise InputError('a bounded lattice needs at least one element')
-        check_size('lattice', n)  # before the order's closure, which is quadratic in n
-        order = Poset(n, relation)
+        check_size('lattice', n)  # before the order rows, n bits each
+        order = Poset(n, relation)  # up and down rows from one pass
         self._adopt(order.up, order.down, bottom, top, labels)
 
     @classmethod

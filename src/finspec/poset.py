@@ -10,6 +10,12 @@ Point sets cross the API as plain iterables of indices and come back as
 frozensets; mask-level twins of the hot operations are exposed with a
 _mask suffix for the report loops.
 
+Poset(n, pairs) takes its up and down rows from one topological pass
+over the pairs (kernels.order_rows), linear in the pairs apart from the
+ORs of the rows.  Warshall's closure and the antisymmetry scan run only
+on a relation with a cycle, to name its first pair.  A poset built from
+rows transposes them on the first read of down.
+
 Poset is the one owner of order-derived mask data: the down-set masks
 and DOWNSET_CAP, the bound on how many down-sets a poset may have.  The
 up-set masks are the down-set masks of the dual, kept by the dual alone.
@@ -42,7 +48,7 @@ class Poset:
     def __init__(self, n, relation=()):
         if not is_int(n) or n < 0:
             raise InputError('poset size must be a non-negative int, got %r' % (n,))
-        rows = [1 << i for i in range(n)]
+        pairs = []
         for pair in relation:
             try:
                 i, j = pair
@@ -53,13 +59,16 @@ class Poset:
                 raise InputError('relation entries must be index pairs, got %r' % (pair,))
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError('pair (%d, %d) out of range for %d points' % (i, j, n))
-            rows[i] |= 1 << j
-        rows = kernels.transitive_closure(rows)
-        bad = kernels.antisymmetry_violation(rows)
-        if bad is not None:
-            raise InputError('not a partial order: %d and %d sit on a cycle' % bad)
+            # a tuple or list pair is kept as it is, so parsed pairs are
+            # not copied; only this call reads it
+            pairs.append(pair if type(pair) in (tuple, list) else (i, j))
+        rows = kernels.order_rows(n, pairs)
+        if rows is None:
+            raise InputError('not a partial order: %d and %d sit on a cycle'
+                             % _cycle_pair(n, pairs))
         self.n = n
-        self.up = tuple(rows)
+        self.up = tuple(rows[0])
+        self.down = tuple(rows[1])
         self.full = (1 << n) - 1
 
     @classmethod
@@ -429,6 +438,15 @@ class Poset:
         if not isinstance(other, Poset):
             raise InputError('isomorphic_to expects a Poset')
         return self.n == other.n and self.canonical_rows == other.canonical_rows
+
+
+def _cycle_pair(n, pairs):
+    '''First pair (i, j), i < j, that the cyclic relation pairs relates both
+    ways: Warshall's closure and the antisymmetry scan, run only to name it.'''
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return kernels.antisymmetry_violation(kernels.transitive_closure(rows))
 
 
 def _extremal_mask(rows, mask):

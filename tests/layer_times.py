@@ -37,6 +37,9 @@ lru_cache carries over from one run to the next:
   the clock starts, which builds each spectrum's down-set lattice;
 - poset_roundtrip: the poset round trip on every input, down-set
   lattice build included;
+- input: the path from file to order: fileio.read_path on every input
+  written once as text and once as JSON before the clock starts, then
+  fixtures.builtin('chain1024');
 - import: `import finspec.cli` in a bare interpreter, which has loaded
   nothing the import needs;
 - sweep (only with --sweep): cli.main(['sweep', --points, '--json']),
@@ -74,6 +77,7 @@ spawned it whenever that one is higher.
 '''
 
 import argparse
+import atexit
 import contextlib
 import hashlib
 import inspect
@@ -81,9 +85,11 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -92,7 +98,8 @@ SRC = ROOT / 'src'
 LAYERS = ('unlabeled_reps', 'downset_lattice', 'downset_lattice+flags',
           'pseudocomplement_vector', 'is_distributive', 'distributive_witness',
           'closed_subspaces_pc', 'heyting_report', 'prime_ideals+via_irreducibles',
-          'minimal_primes_coprime', 'stone_roundtrip', 'poset_roundtrip', 'import')
+          'minimal_primes_coprime', 'stone_roundtrip', 'poset_roundtrip', 'input',
+          'import')
 
 
 def peak_rss_mb():
@@ -177,7 +184,7 @@ def _work(layer, points):
         def work():
             import finspec.cli
         return work, None
-    from finspec import cli, duality, kernels, reports
+    from finspec import cli, duality, fileio, fixtures, kernels, reports
     if layer == 'unlabeled_reps':
         # nothing has built a level yet in this process
         def work():
@@ -228,6 +235,22 @@ def _work(layer, points):
         def work():
             for poset in posets:
                 duality.poset_roundtrip(poset)
+    elif layer == 'input':
+        folder = tempfile.mkdtemp(prefix='layer-input-')
+        atexit.register(shutil.rmtree, folder)
+        paths = []
+        for index, poset in enumerate(posets):
+            for suffix, text in (('txt', fileio.poset_to_text(poset)),
+                                 ('json', fileio.to_json(poset))):
+                path = os.path.join(folder, '%d.%s' % (index, suffix))
+                with open(path, 'w', encoding='utf-8') as handle:
+                    handle.write(text)
+                paths.append(path)
+
+        def work():
+            for path in paths:
+                fileio.read_path(path)
+            fixtures.builtin('chain1024')
     else:
         def work():
             lattices = [duality.inclusion_lattice(m) for m in masks]

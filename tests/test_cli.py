@@ -334,6 +334,22 @@ def test_input_past_the_byte_cap_exits_three(capsys, tmp_path, monkeypatch):
                    '(4096 bytes)\n' % target)
 
 
+def test_input_past_a_cap_above_the_first_chunk_exits_three(capsys, tmp_path, monkeypatch):
+    # the first chunk comes back full, so the read goes on toward the cap
+    cap = fileio.FIRST_READ_BYTES + 4096
+    monkeypatch.setattr(fileio, 'MAX_INPUT_BYTES', cap)
+    text = 'poset 2\n0 < 1\n'
+    target = tmp_path / 'padded.txt'
+    target.write_text(text + '#' * (cap - len(text)), encoding='utf-8')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 0 and out.startswith('poset with 2 points') and err == ''
+    target.write_text(text + '#' * (cap + 1 - len(text)), encoding='utf-8')
+    code, out, err = run(capsys, 'check', str(target))
+    assert code == 3 and out == ''
+    assert err == ('finspec: resource limit: %s is larger than MAX_INPUT_BYTES '
+                   '(%d bytes)\n' % (target, cap))
+
+
 ENDLESS_INPUT = '''
 import resource, sys
 # a read without a bound runs into this limit instead of the host's memory

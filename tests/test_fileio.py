@@ -2,10 +2,12 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from finspec import fileio
 from finspec.duality import downset_lattice
 from finspec.errors import InputError
 from finspec.fileio import (lattice_to_text, parse, parse_json, parse_text,
@@ -130,6 +132,32 @@ def test_read_path(tmp_path):
     assert read_path(str(target)) == v3()
     with pytest.raises(InputError, match='cannot read'):
         read_path(str(tmp_path / 'absent.txt'))
+
+
+def test_reading_a_small_file_allocates_no_buffer_the_size_of_the_cap(tmp_path):
+    target = tmp_path / 'shape.txt'
+    target.write_text(poset_to_text(v3()), encoding='utf-8')
+    read_path(str(target))  # imports and compiled patterns come before the trace
+    tracemalloc.start()
+    try:
+        assert read_path(str(target)) == v3()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_file_past_the_first_chunk_reads_whole(tmp_path, monkeypatch):
+    # every pair of K(100, 100) is a cover, so the text lists 10,000 pairs
+    wide = Poset(200, [(i, j) for i in range(100) for j in range(100, 200)])
+    text = poset_to_text(wide)
+    assert fileio.FIRST_READ_BYTES < len(text) < fileio.MAX_INPUT_BYTES
+    for name, body in (('wide.txt', text), ('wide.json', to_json(wide))):
+        target = tmp_path / name
+        target.write_text(body, encoding='utf-8')
+        # a cap of exactly the file's length still reads it whole
+        monkeypatch.setattr(fileio, 'MAX_INPUT_BYTES', len(body))
+        assert read_path(str(target)) == wide
 
 
 def test_dot_output_golden():

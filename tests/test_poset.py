@@ -1,6 +1,7 @@
 '''Poset behavior: closures, topology readings, structure predicates.'''
 
 import pickle
+import time
 from itertools import permutations
 
 import pytest
@@ -13,7 +14,7 @@ from finspec.enumeration import check_args
 from finspec.errors import InputError, PreconditionError
 from finspec.fixtures import a2, antichain, chain_poset, c2, d4, l3, m3, v3
 from finspec.lattice import Lattice, LatticeIdeal
-from finspec.poset import MonotoneMap, Poset, are_isomorphic
+from finspec.poset import DOWNSET_CAP, MonotoneMap, Poset, are_isomorphic
 from finspec.reports import sweep
 
 
@@ -336,3 +337,69 @@ def test_canonical_stable_under_hypothesis_relabel(p):
             if p.up[i] >> j & 1:
                 moved[perm[i]] |= 1 << perm[j]
     assert Poset.from_up_rows(moved).canonical() == p.canonical()
+
+
+def _warshall_reference(n, pairs):
+    '''Up rows by Warshall's closure, or the InputError text naming the
+    first pair on a cycle, as the antisymmetry scan finds it.'''
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    rows = kernels.transitive_closure(rows)
+    bad = kernels.antisymmetry_violation(rows)
+    if bad is not None:
+        return 'not a partial order: %d and %d sit on a cycle' % bad
+    return tuple(rows)
+
+
+@st.composite
+def random_relation(draw):
+    'Any relation on up to 10 points: self-pairs, repeated pairs and cycles too.'
+    n = draw(st.integers(min_value=0, max_value=10))
+    if n == 0:
+        return 0, []
+    point = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=30))
+    if draw(st.booleans()):
+        # most random relations on many pairs have a cycle, so half the
+        # draws are oriented along a random order and stay acyclic
+        order = draw(st.permutations(range(n)))
+        pairs = [(i, j) if order[i] <= order[j] else (j, i) for i, j in pairs]
+    # repeat some pairs, in any order
+    return n, pairs + draw(st.lists(st.sampled_from(pairs), max_size=5) if pairs
+                           else st.just([]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_relation())
+def test_topological_build_matches_warshall(relation):
+    n, pairs = relation
+    expected = _warshall_reference(n, pairs)
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as caught:
+            Poset(n, pairs)
+        assert str(caught.value) == expected
+        assert kernels.order_rows(n, pairs) is None
+        return
+    p = Poset(n, pairs)
+    assert p.up == expected
+    assert p.down == tuple(kernels.transpose(p.up))
+
+
+def test_a_cycle_names_the_first_pair_the_closure_relates_both_ways():
+    # the cycle 0 -> 3 -> 1 -> 4 -> 0 names (0, 1), a pair no entry lists
+    with pytest.raises(InputError, match=r'^not a partial order: 0 and 1 sit on a cycle$'):
+        Poset(5, [(2, 3), (0, 3), (3, 1), (1, 4), (4, 0)])
+    # an acyclic prefix does not hide the cycle behind it
+    with pytest.raises(InputError, match=r'^not a partial order: 2 and 3 sit on a cycle$'):
+        Poset(5, [(0, 1), (1, 2), (4, 2), (2, 3), (3, 4)])
+
+
+def test_the_longest_chain_builds_within_a_second_of_cpu():
+    # every CLI input path has a stated bound: one topological pass builds
+    # both row sets of a DOWNSET_CAP-point chain
+    start = time.process_time()
+    p = chain_poset(DOWNSET_CAP)
+    seconds = time.process_time() - start
+    assert seconds < 1.0
+    assert p.up[0] == p.full and p.down[-1] == p.full
